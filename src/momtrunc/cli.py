@@ -6,14 +6,17 @@ CSV files are comma separated with a header row and LF line endings; JSON
 reports are a single object with the experiment name, a config echo, column
 names and full-precision rows.
 
-Exit codes: 0 success, 2 usage error (bad flags or config), 1 runtime
-failure (for example an unwritable output path).
+Exit codes: 0 success, 2 usage error (bad flags or config, or a spectra
+size whose dense arrays would exceed a fixed memory limit), 1 runtime
+failure (for example an unwritable output path or a failed eigensolve
+residual check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +71,10 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "tails": {"pairs": [(1, 2), (3, 4)], "sizes": [200, 400, 800, 1600]},
     "spectrum-pairs": {"pairs": [], "sizes": [999, 1000]},
 }
+
+# Largest dense-array footprint the spectra commands accept (see
+# spectra.dense_bytes); the triple products and fourth powers are O(N).
+_MAX_DENSE_BYTES = 4 * 2**30
 
 _NEEDS_PAIRS = {"table1", "p2check", "assoc", "diverge", "tails"}
 _NEEDS_SIZES = {"table1", "table2", "p2check", "diverge", "tails", "spectrum-pairs"}
@@ -253,7 +260,19 @@ def _run_table1(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
     return columns, rows, formats
 
 
+def _check_dense_budget(cfg: ReportConfig) -> None:
+    needed = spectra.dense_bytes(cfg.sizes)
+    if needed > _MAX_DENSE_BYTES:
+        largest = math.isqrt(_MAX_DENSE_BYTES // spectra.dense_bytes([1]))
+        raise UsageError(
+            f"{cfg.command} at sizes {cfg.sizes} needs about {needed / 2**30:.1f} GiB "
+            f"of dense arrays, above the {_MAX_DENSE_BYTES / 2**30:.0f} GiB limit; "
+            f"a single size is accepted up to N = {largest}"
+        )
+
+
 def _run_table2(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
+    _check_dense_budget(cfg)
     largest = cfg.sizes[-1]
     if cfg.delete_tail >= largest:
         raise UsageError(
@@ -400,6 +419,7 @@ def _run_tails(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
 
 
 def _run_spectrum_pairs(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
+    _check_dense_budget(cfg)
     columns = ["size", "pair_count", "zero_modes", "max_pair_gap", "pairing_ok"]
     rows = []
     for size in cfg.sizes:
@@ -498,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
         columns, rows, formats = _RUNNERS[cfg.command](cfg)
     except (UsageError, ValueError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except ArithmeticError as exc:
+        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+        return 1
     try:
         if cfg.fmt == "csv":
             text = _render_csv(columns, rows, formats)

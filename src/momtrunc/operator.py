@@ -90,11 +90,9 @@ def momentum_row(m: int, size: int) -> np.ndarray:
     """Vector of a_ms for s = 1..size, evaluated by the same closed form."""
     m = _check_index(m, "m")
     size = _check_index(size, "size")
-    s = np.arange(1, size + 1)
     out = np.zeros(size)
-    odd = (m + s) % 2 == 1
-    so = s[odd].astype(float)
-    out[odd] = -4.0 * m * so / (math.pi * (m * m - so * so))
+    s = np.arange(1 + m % 2, size + 1, 2.0)  # labels of the other parity
+    out[m % 2 :: 2] = -4.0 * m * s / (math.pi * (m * m - s * s))
     return out
 
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .operator import (
     _check_index,
-    _square_array,
-    momentum_array,
     momentum_entry,
     momentum_row,
     p3_hermitian_entry,
@@ -59,36 +57,98 @@ class ConvergenceSeries:
         return [value for _, value in self.points]
 
 
-def triple_product_sum(m: int, n: int, size: int, *, compensated: bool = True) -> float:
-    """Square-cutoff triple product: -(A^3)_mn summed over r, s = 1..size.
+# Chunk length of the prefix sums behind a square column: each chunk is a
+# plain running sum on top of an exactly rounded offset.
+_PREFIX_CHUNK = 1024
 
-    This is the real number conventionally reported for the i-factored cube
-    (the remaining factor of the stored matrices is i^3 = -i).  The double
-    sum runs with the outer index r ascending and the inner index s
-    ascending; partial sums are exactly rounded via math.fsum.  Set
-    ``compensated=False`` for a plain left-to-right accumulation, kept only
-    to demonstrate that the convergence behaviour is not a rounding
-    artifact.
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Running sums ``out[k] = terms[0] + ... + terms[k - 1]``, ``out[0] = 0``.
+
+    Inside a chunk the sums are a plain ``np.cumsum``; each chunk starts from
+    the exactly rounded sum of every earlier term, carried as a (hi, lo)
+    pair refreshed by ``math.fsum``, so rounding error does not build up
+    across chunks.
     """
+    out = np.zeros(terms.size + 1)
+    hi = lo = 0.0
+    for start in range(0, terms.size, _PREFIX_CHUNK):
+        chunk = terms[start : start + _PREFIX_CHUNK]
+        out[start + 1 : start + 1 + chunk.size] = hi + np.cumsum(chunk)
+        parts = [hi, lo, *chunk.tolist()]
+        hi = math.fsum(parts)
+        lo = math.fsum([*parts, -hi])
+    return out
+
+
+def _square_column(n: int, size: int) -> np.ndarray:
+    """Column n of the truncated square B = -A A, labels 1..size, in O(size).
+
+    With middle labels s of parity opposite to n, up to the largest such
+    s_N <= size, partial fractions give for r != n of the parity of n
+
+        B_rn = 16 r n / (pi^2 (n^2 - r^2)) * [r^2 S(r) - n^2 S(n)],
+        S(x) = sum_s 1/(x^2 - s^2) = (D(x) - [x odd]/x) / (2x),
+
+    where D(x) sums 1/k over odd k in (s_N - x, s_N + x].  Stepping x by one
+    adds exactly one positive term to D, so D is a prefix sum; the [x odd]
+    terms cancel between r and n.  The diagonal B_nn = sum_s a_ns^2 is summed
+    directly.  Rows of the other parity are exactly zero.
+    """
+    column = np.zeros(size)
+    s_top = size if (size + n) % 2 == 1 else size - 1
+    if s_top < 1:
+        return column
+    # Step x adds 1/k with k the odd one of s_top + 1 - x and s_top + x.
+    steps = np.arange(1.0, size + 1.0)
+    below = slice((s_top + 1) % 2, None, 2)
+    steps[below] = s_top + 1.0 - steps[below]
+    steps[s_top % 2 :: 2] += s_top
+    d = _prefix_sums(np.reciprocal(steps, out=steps))  # d[x] = D(x)
+    del steps  # peak memory stays at a few columns
+    r = np.arange(2 - n % 2, size + 1, 2.0)
+    with np.errstate(invalid="ignore"):  # 0/0 at r = n, replaced below
+        column[1 - n % 2 :: 2] = (
+            8.0 * r * n * (r * d[2 - n % 2 :: 2] - n * d[n])
+            / (math.pi**2 * (n * n - r * r))
+        )
+    del d, r  # before the diagonal's row of A is built
+    column[n - 1] = math.fsum(momentum_row(n, size) ** 2)
+    return column
+
+
+def _check_labels(m: int, n: int, size: int) -> tuple[int, int, int]:
     m = _check_index(m, "m")
     n = _check_index(n, "n")
     size = _check_index(size, "size")
     if size < max(m, n):
         raise ValueError(f"size must be >= max(m, n) = {max(m, n)}, got {size}")
-    a = momentum_array(size)
-    left = a[m - 1]  # a_mr, r ascending
-    right = a[:, n - 1]  # a_sn, s ascending
-    terms = left[:, None] * (a * right[None, :])  # terms[r, s] = a_mr a_rs a_sn
-    if compensated:
-        row_sums = [math.fsum(row.tolist()) for row in terms]
-        return -math.fsum(row_sums)
-    total = 0.0
-    for row in terms:
-        row_total = 0.0
-        for t in row.tolist():
-            row_total += t
-        total += row_total
-    return -total
+    return m, n, size
+
+
+def triple_product_sum(m: int, n: int, size: int) -> float:
+    """Square-cutoff triple product T = -(A^3)_mn summed over r, s = 1..size.
+
+    This is the real number conventionally reported for the i-factored cube
+    (the remaining factor of the stored matrices is i^3 = -i).  Summing the
+    middle label s first,
+
+        T = -sum_{r,s<=size} a_mr a_rs a_sn = sum_r a_mr B_rn,
+        B_rn = -sum_{s<=size} a_rs a_sn,
+
+    with column n of the truncated square B taken in closed form (see
+    :func:`_square_column`).  Time and memory are O(size), so sizes up to
+    about 10^7 are practical.  Summation order: each s-sum is a prefix sum
+    of reciprocals of odd integers taken outward from the cutoff, with
+    exactly rounded chunk offsets, and the r-sum is one exactly rounded
+    ``math.fsum``, so its order does not matter.  For m + n even
+    every product pairs labels of opposite parity and the result is -0.0.
+    """
+    m, n, size = _check_labels(m, n, size)
+    if (m + n) % 2 == 0:
+        return -0.0
+    column = _square_column(n, size)
+    return math.fsum(momentum_row(m, size) * column)
 
 
 def sweep_triple_product(m: int, n: int, sizes: list[int]) -> ConvergenceSeries:
@@ -157,16 +217,20 @@ def pp2p_partial_sum(m: int, n: int, s_max: int) -> float:
 def quad_power_entry(m: int, n: int, size: int) -> float:
     """Entry (m, n) of the fourth power of the size-truncated matrix.
 
-    Computed as sum_s B_ms B_sn with B the full dense square of the
-    truncation (cached per size).  Unlike the exact fourth power, whose
+    With B = -A A truncated at ``size``, the entry is
+
+        (A^4)_mn = (B B)_mn = sum_{s<=size} B_sm B_sn,
+
+    the dot product of two closed-form columns of B (see
+    :func:`_square_column`), summed by one exactly rounded ``math.fsum``.
+    Time and memory are O(size).  Unlike the exact fourth power, whose
     entries are m^2 n^2 on the diagonal and 0 elsewhere, this diverges as
     the truncation grows: the middle sum picks up contributions from s of
-    the order of the truncation size.
+    the order of the truncation size.  For m + n odd the entry is 0.0.
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    size = _check_index(size, "size")
-    if size < max(m, n):
-        raise ValueError(f"size must be >= max(m, n) = {max(m, n)}, got {size}")
-    square = _square_array(size)
-    return float(np.dot(square[m - 1], square[:, n - 1]))
+    m, n, size = _check_labels(m, n, size)
+    if (m + n) % 2 == 1:
+        return 0.0
+    column_m = _square_column(m, size)
+    column_n = column_m if m == n else _square_column(n, size)
+    return math.fsum(column_m * column_n)

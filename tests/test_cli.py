@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from momtrunc import cli, operator, spectra
 from momtrunc.cli import main
 
 
@@ -177,3 +178,29 @@ class TestConfigAndErrors:
         assert run_cli(["assoc", "--pairs", "1,2"]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "m,n,left_product,right_product,ratio"
+
+    def test_failed_residual_check_is_runtime_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(spectra, "_RESIDUAL_TOL", -1.0)
+        assert run_cli(["spectrum-pairs", "--sizes", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("momtrunc: error: eigensolve residual")
+        assert err.count("\n") == 1
+
+
+class TestDenseSizeGuard:
+    def test_estimate_sums_over_sizes(self):
+        assert spectra.dense_bytes([1000]) == 64 * 10**6
+        assert spectra.dense_bytes([999, 1000]) == 64 * (999**2 + 1000**2)
+
+    def test_limit_admits_one_size_up_to_8192(self):
+        assert spectra.dense_bytes([8192]) <= cli._MAX_DENSE_BYTES
+        assert spectra.dense_bytes([8193]) > cli._MAX_DENSE_BYTES
+
+    @pytest.mark.parametrize("command", ["table2", "spectrum-pairs"])
+    def test_oversized_request_exits_before_allocating(self, command, monkeypatch, capsys):
+        def refuse(size):
+            raise AssertionError(f"allocated an array of order {size}")
+
+        monkeypatch.setattr(operator, "_antisymmetric_array", refuse)
+        assert run_cli([command, "--sizes", "8193"]) == 2
+        assert "accepted up to N = 8192" in capsys.readouterr().err

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import TABLE1, tol_from_printed
 from momtrunc import products
-from momtrunc.operator import momentum_array, momentum_entry, p3_hermitian_entry
+from momtrunc.operator import (
+    _square_array,
+    momentum_array,
+    momentum_entry,
+    p3_hermitian_entry,
+)
 from momtrunc.products import (
     ConvergenceSeries,
     associativity_gap,
@@ -15,6 +22,8 @@ from momtrunc.products import (
     sweep_triple_product,
     triple_product_sum,
 )
+from momtrunc.tails import boundary_contribution
+from oracles import dense_fourth_power_entry, dense_triple_product, plain_triple_product
 
 
 def brute_triple(m: int, n: int, size: int) -> float:
@@ -56,7 +65,7 @@ class TestTripleProduct:
 
     def test_compensated_vs_naive(self):
         comp = triple_product_sum(1, 2, 2000)
-        naive = triple_product_sum(1, 2, 2000, compensated=False)
+        naive = plain_triple_product(1, 2, 2000)
         assert abs(comp - naive) <= 1e-9 * abs(comp)
 
     def test_oscillation_straddles_target(self):
@@ -93,6 +102,15 @@ class TestSweep:
         series = sweep_triple_product(1, 2, [99, 100])
         assert series.values[0] == pytest.approx(2.156, abs=5e-4)
         assert series.values[1] == pytest.approx(2.088, abs=5e-4)
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (3, 4), (7, 12)])
+    def test_steps_equal_boundary_contribution(self, m, n):
+        # stepping N by two adds exactly the window's boundary column and row
+        for size in (200, 400, 1000, 2000):
+            value = triple_product_sum(m, n, size)
+            step = value - triple_product_sum(m, n, size - 2)
+            boundary = 64.0 * m * n / math.pi**3 * boundary_contribution(m, n, size)
+            assert abs(step - boundary) <= 1e-12 * abs(value)
 
     def test_diagonal_sweep_is_zero(self):
         assert sweep_triple_product(1, 1, [50]).values == [0.0]
@@ -199,3 +217,56 @@ class TestQuadPower:
     def test_requires_size_at_least_max_label(self):
         with pytest.raises(ValueError):
             quad_power_entry(1, 40, 30)
+
+
+labels_and_size = st.integers(1, 300).flatmap(
+    lambda size: st.tuples(st.integers(1, size), st.integers(1, size), st.just(size))
+)
+
+
+class TestClosedFormAgainstDense:
+    @settings(deadline=None)
+    @given(labels_and_size)
+    def test_triple_product(self, case):
+        m, n, size = case
+        dense = dense_triple_product(m, n, size)
+        assert abs(triple_product_sum(m, n, size) - dense) <= 1e-12 * abs(dense)
+
+    @settings(deadline=None)
+    @given(labels_and_size)
+    def test_fourth_power(self, case):
+        # off-diagonal entries cancel, so the bound scales with the sum of
+        # absolute products; on the diagonal that is the entry itself
+        m, n, size = case
+        dense, scale = dense_fourth_power_entry(m, n, size)
+        assert abs(quad_power_entry(m, n, size) - dense) <= 1e-12 * scale
+
+    @settings(deadline=None)
+    @given(labels_and_size)
+    def test_square_column(self, case):
+        _, n, size = case
+        square = _square_array(size)
+        error = np.abs(products._square_column(n, size) - square[:, n - 1]).max()
+        assert error <= 1e-13 * np.abs(square).max()
+
+    @settings(deadline=None)
+    @given(labels_and_size)
+    def test_same_parity_triple_product_is_negative_zero(self, case):
+        m, n, size = case
+        assume((m + n) % 2 == 0)
+        value = triple_product_sum(m, n, size)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        assert format(value, ".6g") == "-0"
+
+    def test_prefix_sums_do_not_drift(self):
+        # D-style terms: reciprocals of odd integers taken outward from a
+        # cutoff; a bare np.cumsum drifts to ~1e-14 relative here
+        size = 200_000
+        k = np.arange(1.0, size + 1.0)
+        k[::2] = size - k[::2]
+        k[1::2] += size - 1
+        terms = 1.0 / k
+        prefix = products._prefix_sums(terms)
+        for end in np.linspace(1, size, 40).astype(int):
+            exact = math.fsum(terms[:end].tolist())
+            assert abs(prefix[end] - exact) <= 1e-15 * exact
