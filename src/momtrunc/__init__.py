@@ -43,6 +43,7 @@ from .spectra import (
     parity_permutation,
     parity_reorder,
     repair_convergence,
+    singular_spectrum,
     spectrum_pairing,
     squared_momentum,
     truncate_after_squaring,
@@ -86,6 +87,7 @@ __all__ = [
     "parity_permutation",
     "parity_reorder",
     "repair_convergence",
+    "singular_spectrum",
     "spectrum_pairing",
     "squared_momentum",
     "truncate_after_squaring",

@@ -6,10 +6,12 @@ CSV files are comma separated with a header row and LF line endings; JSON
 reports are a single object with the experiment name, a config echo, column
 names and full-precision rows.
 
-Exit codes: 0 success, 2 usage error (bad flags or config, or a spectra
-size whose dense arrays would exceed a fixed memory limit), 1 runtime
-failure (for example an unwritable output path or a failed eigensolve
-residual check).
+Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
+experiment does not accept, or spectra sizes whose arrays would exceed a
+fixed memory limit), found by this module's own checks before the library
+could reject the input; 1 runtime failure (an unwritable output path, a
+failed eigensolve residual check, or any other error the library raises),
+reported as one ``momtrunc: error:`` line.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class ReportConfig:
     delete_tail: int = 0
     fmt: str = "csv"
     out: str | None = None
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
 
     def echo(self) -> dict[str, Any]:
         return {
@@ -52,7 +53,6 @@ class ReportConfig:
             "delete_tail": self.delete_tail,
             "format": self.fmt,
             "out": self.out,
-            "tolerance_overrides": dict(self.tolerance_overrides),
         }
 
 
@@ -72,7 +72,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "spectrum-pairs": {"pairs": [], "sizes": [999, 1000]},
 }
 
-# Largest dense-array footprint the spectra commands accept (see
+# Largest array footprint the spectra commands accept (see
 # spectra.dense_bytes); the triple products and fourth powers are O(N).
 _MAX_DENSE_BYTES = 4 * 2**30
 
@@ -124,11 +124,16 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    allowed = {"pairs", "sizes", "format", "out", "delete_tail", "tolerance_overrides"}
+    allowed = {"pairs", "sizes", "format", "out", "delete_tail"}
     unknown = set(raw) - allowed
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return raw
+
+
+def _is_count(value: Any, least: int) -> bool:
+    """A JSON integer (not a boolean) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _pairs_from_config(value: Any) -> list[tuple[int, int]]:
@@ -140,7 +145,7 @@ def _pairs_from_config(value: Any) -> list[tuple[int, int]]:
             if not (isinstance(item, list) and len(item) == 2):
                 raise UsageError(f"config pairs entries must be [m, n], got {item!r}")
             m, n = item
-            if not all(isinstance(v, int) and v >= 1 for v in (m, n)):
+            if not (_is_count(m, 1) and _is_count(n, 1)):
                 raise UsageError(f"pair indices must be integers >= 1, got {item!r}")
             pairs.append((m, n))
         return pairs
@@ -164,7 +169,7 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
         if isinstance(sizes, str):
             sizes = _parse_sizes(sizes)
         elif not (
-            isinstance(sizes, list) and all(isinstance(v, int) and v >= 1 for v in sizes)
+            isinstance(sizes, list) and all(_is_count(v, 1) for v in sizes)
         ):
             raise UsageError(f"config sizes must be positive integers, got {sizes!r}")
     if args.sizes is not None:
@@ -175,7 +180,7 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
         delete_tail = file_cfg["delete_tail"]
     if getattr(args, "delete_tail", None) is not None:
         delete_tail = args.delete_tail
-    if not isinstance(delete_tail, int) or delete_tail < 0:
+    if not _is_count(delete_tail, 0):
         raise UsageError(f"delete_tail must be a nonnegative integer, got {delete_tail!r}")
 
     fmt = file_cfg.get("format", "csv")
@@ -187,10 +192,8 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
     out = file_cfg.get("out")
     if args.out is not None:
         out = args.out
-
-    overrides = file_cfg.get("tolerance_overrides", {})
-    if not isinstance(overrides, dict):
-        raise UsageError("tolerance_overrides must be a JSON object")
+    if out is not None and not isinstance(out, str):
+        raise UsageError(f"out must be a path string, got {out!r}")
 
     if command in _NEEDS_PAIRS and not pairs:
         raise UsageError(f"{command} requires at least one pair")
@@ -207,7 +210,6 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
         delete_tail=delete_tail,
         fmt=fmt,
         out=out,
-        tolerance_overrides=overrides,
     )
 
 
@@ -263,11 +265,12 @@ def _run_table1(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
 def _check_dense_budget(cfg: ReportConfig) -> None:
     needed = spectra.dense_bytes(cfg.sizes)
     if needed > _MAX_DENSE_BYTES:
-        largest = math.isqrt(_MAX_DENSE_BYTES // spectra.dense_bytes([1]))
+        # The estimate grows with ceil(N/2)^2, and dense_bytes([2]) is its unit.
+        largest = 2 * math.isqrt(_MAX_DENSE_BYTES // spectra.dense_bytes([2]))
         raise UsageError(
             f"{cfg.command} at sizes {cfg.sizes} needs about {needed / 2**30:.1f} GiB "
-            f"of dense arrays, above the {_MAX_DENSE_BYTES / 2**30:.0f} GiB limit; "
-            f"a single size is accepted up to N = {largest}"
+            f"of arrays, above the {_MAX_DENSE_BYTES / 2**30:.0f} GiB limit; "
+            f"sizes are accepted up to N = {largest}"
         )
 
 
@@ -278,20 +281,17 @@ def _run_table2(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
         raise UsageError(
             f"delete_tail {cfg.delete_tail} must be < largest size {largest}"
         )
-    spectra_by_column: list[tuple[str, np.ndarray]] = []
-    for size in cfg.sizes[:-1]:
-        values = spectra.eigen_symmetric(spectra.squared_momentum(size)).eigenvalues
-        spectra_by_column.append((f"complete_{size}", values))
+    spectra_by_column = [
+        (f"complete_{size}", spectra.singular_spectrum(size)) for size in cfg.sizes[:-1]
+    ]
     if cfg.delete_tail > 0:
-        repaired = spectra.truncate_after_squaring(largest, cfg.delete_tail)
         spectra_by_column.append(
             (
                 f"truncated_{largest}_to_{largest - cfg.delete_tail}",
-                spectra.eigen_symmetric(repaired).eigenvalues,
+                spectra.singular_spectrum(largest, cfg.delete_tail),
             )
         )
-    values = spectra.eigen_symmetric(spectra.squared_momentum(largest)).eigenvalues
-    spectra_by_column.append((f"complete_{largest}", values))
+    spectra_by_column.append((f"complete_{largest}", spectra.singular_spectrum(largest)))
 
     columns = ["rank"] + [name for name, _ in spectra_by_column]
     depth = max(len(vals) for _, vals in spectra_by_column)
@@ -391,10 +391,12 @@ def _run_tails(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
     rows = []
     for m, n in cfg.pairs:
         for size in cfg.sizes:
-            try:
-                estimate = tails.tail_estimate(m, n, size)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            if m % 2 == 0 or n % 2 == 1 or size % 2 == 1 or size < 10 * (m + n):
+                raise UsageError(
+                    f"tails requires odd m, even n and an even size >= 10 (m + n), "
+                    f"got ({m},{n}) at size {size}"
+                )
+            estimate = tails.tail_estimate(m, n, size)
             rows.append(
                 [
                     m,
@@ -516,9 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble_config(args)
         columns, rows, formats = _RUNNERS[cfg.command](cfg)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except ArithmeticError as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 1
     try:

@@ -1,4 +1,4 @@
-"""Dense O(size^2) reference sums the O(size) library paths are tested against.
+"""Dense O(size^2) references the fast library paths are tested against.
 
 Each builds full size x size arrays, so keep size to a few thousand.
 """
@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from momtrunc.operator import _square_array, momentum_array
+from momtrunc.spectra import PairingReport, eigen_symmetric
 
 
 def _triple_terms(m: int, n: int, size: int) -> np.ndarray:
@@ -44,3 +45,44 @@ def dense_fourth_power_entry(m: int, n: int, size: int) -> tuple[float, float]:
     square = _square_array(size)
     terms = square[m - 1] * square[:, n - 1]
     return math.fsum(terms.tolist()), math.fsum(np.abs(terms).tolist())
+
+
+def _close(x: float, y: float, tol: float) -> bool:
+    return abs(x - y) <= tol * max(abs(x), abs(y))
+
+
+def dense_pairing(size: int, tol: float = 1e-6) -> PairingReport:
+    """Opposite-pair check from a dense eigensolve of the order-size square.
+
+    Eigenvalues at or below 1e-8 of the largest count as zero modes; the
+    rest must pair up as doublets within ``tol`` relative.
+    """
+    values = eigen_symmetric(_square_array(size)).eigenvalues
+    violations: list[str] = []
+    zero_cut = 1e-8 * max(float(values[-1]), 1.0)
+    zero_modes = int(np.count_nonzero(values <= zero_cut))
+    expected_zeros = 1 if size % 2 == 1 else 0
+    if zero_modes != expected_zeros:
+        violations.append(
+            f"expected {expected_zeros} zero mode(s) for order {size}, found {zero_modes}"
+        )
+    rest = values[zero_modes:]
+    if len(rest) % 2 == 1:
+        violations.append("nonzero eigenvalues do not split into pairs")
+        rest = rest[:-1]
+    magnitudes = []
+    max_gap = 0.0
+    for i in range(0, len(rest), 2):
+        lo, hi = float(rest[i]), float(rest[i + 1])
+        gap = abs(hi - lo) / max(abs(lo), abs(hi), 1e-300)
+        max_gap = max(max_gap, gap)
+        if not _close(lo, hi, tol):
+            violations.append(f"unpaired eigenvalues {lo!r} and {hi!r}")
+        magnitudes.append(math.sqrt(0.5 * (lo + hi)))
+    return PairingReport(
+        order=size,
+        magnitudes=tuple(magnitudes),
+        zero_modes=zero_modes,
+        violations=tuple(violations),
+        max_pair_gap=max_gap,
+    )

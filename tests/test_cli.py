@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momtrunc import cli, operator, spectra
 from momtrunc.cli import main
@@ -128,6 +134,18 @@ class TestOtherCommands:
         assert [r["k_max"] for r in rows] == ["20", "40"]
         assert float(rows[0]["exact"]) == pytest.approx(3.952e-5, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "args", [["table2", "--sizes", "9,10", "--delete-tail", "3"], ["spectrum-pairs"]]
+    )
+    def test_spectra_use_no_dense_eigensolve_or_array(self, args, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense path called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(operator, "_antisymmetric_array", refuse)
+        monkeypatch.setattr(spectra, "_square_array", refuse)
+        assert run_cli(args + ["--out", os.devnull]) == 0
+
     def test_spectrum_pairs_report(self, tmp_path):
         out = tmp_path / "pairs.csv"
         code = run_cli(["spectrum-pairs", "--sizes", "9,10", "--out", str(out)])
@@ -188,19 +206,112 @@ class TestConfigAndErrors:
 
 
 class TestDenseSizeGuard:
-    def test_estimate_sums_over_sizes(self):
-        assert spectra.dense_bytes([1000]) == 64 * 10**6
-        assert spectra.dense_bytes([999, 1000]) == 64 * (999**2 + 1000**2)
+    def test_estimate_is_that_of_the_largest_size(self):
+        assert spectra.dense_bytes([1000]) == 96 * 500**2
+        assert spectra.dense_bytes([999]) == spectra.dense_bytes([1000])
+        assert spectra.dense_bytes([999, 1000]) == spectra.dense_bytes([1000])
+        assert spectra.dense_bytes([1999, 2000]) == 96 * 1000**2
 
-    def test_limit_admits_one_size_up_to_8192(self):
-        assert spectra.dense_bytes([8192]) <= cli._MAX_DENSE_BYTES
-        assert spectra.dense_bytes([8193]) > cli._MAX_DENSE_BYTES
+    def test_limit_admits_sizes_up_to_13376(self):
+        assert spectra.dense_bytes([13376]) <= cli._MAX_DENSE_BYTES
+        assert spectra.dense_bytes([13377]) > cli._MAX_DENSE_BYTES
 
     @pytest.mark.parametrize("command", ["table2", "spectrum-pairs"])
     def test_oversized_request_exits_before_allocating(self, command, monkeypatch, capsys):
-        def refuse(size):
-            raise AssertionError(f"allocated an array of order {size}")
+        def refuse(*shape):
+            raise AssertionError(f"allocated an array of shape {shape}")
 
         monkeypatch.setattr(operator, "_antisymmetric_array", refuse)
-        assert run_cli([command, "--sizes", "8193"]) == 2
-        assert "accepted up to N = 8192" in capsys.readouterr().err
+        monkeypatch.setattr(spectra, "_w_block", refuse)
+        assert run_cli([command, "--sizes", "13377"]) == 2
+        assert "accepted up to N = 13376" in capsys.readouterr().err
+
+
+COMMANDS = ["table1", "table2", "p2check", "assoc", "diverge", "tails", "spectrum-pairs"]
+# Small labels often, so that tails' size >= 10 (m + n) can hold at size 64.
+LABELS = st.integers(1, 4) | st.integers(1, 64)
+ANY_LABEL = st.integers(-1, 64)
+
+
+def _joined(items, sep):
+    return sep.join(map(str, items))
+
+
+@st.composite
+def cli_arguments(draw):
+    """A subcommand with pairs, sizes and flags, mostly well formed."""
+    command = draw(st.sampled_from(COMMANDS))
+    pairs = draw(
+        st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=2).map(
+            lambda ps: _joined((f"{m},{n}" for m, n in ps), ";")
+        )
+        | st.lists(st.tuples(ANY_LABEL, ANY_LABEL), max_size=2).map(
+            lambda ps: _joined((f"{m},{n}" for m, n in ps), ";")
+        )
+        | st.text(alphabet="0123456789,;- x", max_size=8)
+    )
+    sizes = draw(
+        st.lists(LABELS, min_size=1, max_size=3, unique=True).map(
+            lambda ss: _joined(sorted(ss), ",")
+        )
+        | st.lists(ANY_LABEL, max_size=3).map(lambda ss: _joined(ss, ","))
+    )
+    args = [command, "--pairs", pairs, "--sizes", sizes]
+    if command == "table2" and draw(st.booleans()):
+        args += ["--delete-tail", str(draw(ANY_LABEL))]
+    args += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return args
+
+
+class TestExitCodes:
+    @settings(deadline=None, max_examples=300)
+    @given(cli_arguments())
+    def test_fuzzed_arguments_end_in_a_report_or_a_usage_error(self, args):
+        # No fuzzed input can hit a runtime fault (exit 1), so every input
+        # the library would reject must be refused by the CLI with exit 2.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(args)
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert code == 2, err.getvalue()
+            assert err.getvalue().splitlines()[-1].startswith("momtrunc")
+            assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "command, pairs, sizes",
+        [
+            ("tails", "2,2", "40"),  # m even
+            ("tails", "1,1", "40"),  # n odd
+            ("tails", "1,4", "40"),  # size < 10 (m + n)
+            ("table1", "1,20", "10"),  # size < n
+            ("diverge", "1,3", "2,4"),  # size < n
+        ],
+    )
+    def test_inputs_the_library_rejects_are_usage_errors(self, command, pairs, sizes):
+        assert run_cli([command, "--pairs", pairs, "--sizes", sizes]) == 2
+
+    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    def test_library_errors_are_runtime_errors(self, error, monkeypatch, capsys):
+        def fail(*args):
+            raise error("no convergence")
+
+        monkeypatch.setattr(spectra, "singular_spectrum", fail)
+        assert run_cli(["table2", "--sizes", "9,10"]) == 1
+        assert capsys.readouterr().err == "momtrunc: error: no convergence\n"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"tolerance_overrides": {}},
+            {"sizes": [True]},
+            {"pairs": [[1, True]]},
+            {"delete_tail": False},
+            {"out": 5},
+        ],
+    )
+    def test_bad_config_values_are_usage_errors(self, config, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli(["table2", "--config", str(path), "--sizes", "9,10"]) == 2

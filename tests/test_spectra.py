@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momtrunc import spectra
 from momtrunc.operator import Convention, momentum_array
@@ -12,10 +15,12 @@ from momtrunc.spectra import (
     parity_permutation,
     parity_reorder,
     repair_convergence,
+    singular_spectrum,
     spectrum_pairing,
     squared_momentum,
     truncate_after_squaring,
 )
+from oracles import dense_pairing
 
 A12_SQ = (8.0 / (3.0 * math.pi)) ** 2
 
@@ -194,3 +199,73 @@ class TestRepair:
             repair_convergence(100, [100])
         with pytest.raises(ValueError):
             repair_convergence(15, [10])
+
+
+class TestSingularSpectrum:
+    """The W-block SVD path against the dense eigensolve it replaces."""
+
+    @staticmethod
+    def assert_matches_dense(order, deleted_tail):
+        fast = singular_spectrum(order, deleted_tail)
+        dense = eigen_symmetric(truncate_after_squaring(order, deleted_tail)).eigenvalues
+        assert fast.shape == dense.shape
+        norm = float(np.abs(dense).max())
+        assert np.abs(fast - dense).max() <= 1e-13 * norm
+
+    @settings(deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 3))
+    def test_matches_dense_eigensolve(self, order, deleted_tail):
+        self.assert_matches_dense(order, min(deleted_tail, order - 1))
+
+    @pytest.mark.parametrize("order", [999, 1000])
+    @pytest.mark.parametrize("deleted_tail", [0, 1, 3])
+    def test_matches_dense_eigensolve_at_table_sizes(self, order, deleted_tail):
+        self.assert_matches_dense(order, deleted_tail)
+
+    @pytest.mark.parametrize("order", [20, 41, 60])
+    def test_matches_forty_digit_eigenvalues(self, order):
+        # W and W^T W in 40-digit arithmetic, from the closed form alone.
+        p, q = (order + 1) // 2, order // 2
+        with mpmath.workdps(40):
+            w = mpmath.matrix(p, q)
+            for i in range(p):
+                for j in range(q):
+                    m, n = 2 * i + 1, 2 * j + 2
+                    w[i, j] = -4 * m * n / (mpmath.pi * (m * m - n * n))
+            exact = mpmath.eigsy(w.T * w, eigvals_only=True)
+            squares = sorted(float(value) for value in exact)
+        expected = np.array([0.0] * (p - q) + sorted(squares + squares))
+        fast = singular_spectrum(order)
+        assert np.array_equal(fast == 0.0, expected == 0.0)
+        nonzero = expected != 0.0
+        relative = np.abs(fast[nonzero] - expected[nonzero]) / expected[nonzero]
+        assert relative.max() <= 1e-13
+
+    def test_block_is_the_dense_entry_block(self):
+        a = momentum_array(13)
+        assert np.array_equal(spectra._w_block(7, 6), a[0::2, 1::2])
+        assert np.array_equal(spectra._w_block(3, 5), a[0:5:2, 1:10:2])
+
+    def test_validates_inputs(self):
+        with pytest.raises(ValueError):
+            singular_spectrum(0)
+        with pytest.raises(ValueError):
+            singular_spectrum(10, 10)
+        with pytest.raises(ValueError):
+            singular_spectrum(10, -1)
+
+    def test_residual_is_checked_on_cached_blocks(self, monkeypatch):
+        singular_spectrum(12)  # the block's values are now cached
+        monkeypatch.setattr(spectra, "_RESIDUAL_TOL", -1.0)
+        with pytest.raises(ArithmeticError, match="eigensolve residual"):
+            singular_spectrum(12)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 60))
+    @example(999)
+    @example(1000)
+    def test_pairing_matches_dense_oracle(self, order):
+        fast, dense = spectrum_pairing(order), dense_pairing(order)
+        assert (fast.zero_modes, fast.pair_count) == (dense.zero_modes, dense.pair_count)
+        assert fast.ok == dense.ok
+        assert fast.max_pair_gap == 0.0
