@@ -7,8 +7,8 @@ reports are a single object with the experiment name, a config echo, column
 names and full-precision rows.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
-experiment does not accept, or spectra sizes whose arrays would exceed a
-fixed memory limit), found by this module's own checks before the library
+experiment does not accept, or sizes whose arrays would exceed a fixed
+memory limit), found by this module's own checks before the library
 could reject the input; 1 runtime failure (an unwritable output path, a
 failed eigensolve residual check, or any other error the library raises),
 reported as one ``momtrunc: error:`` line.
@@ -72,9 +72,16 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "spectrum-pairs": {"pairs": [], "sizes": [999, 1000]},
 }
 
-# Largest array footprint the spectra commands accept (see
-# spectra.dense_bytes); the triple products and fourth powers are O(N).
+# Largest array footprint any command accepts, estimated from the sizes
+# before anything is allocated (see _check_memory).
 _MAX_DENSE_BYTES = 4 * 2**30
+# Bytes per label that table1, diverge, p2check and tails hold at peak for
+# their largest size: a few float64 vectors of the size plus the list of
+# Python floats handed to math.fsum (measured peak RSS above the ~29 MiB
+# interpreter at N = 10^6 and 4 * 10^6: 32 B for table1 and tails, 44 B for
+# diverge, 48 B for p2check; 64 keeps a margin).
+_LINEAR_BYTES_PER_LABEL = 64
+_SPECTRA = {"table2", "spectrum-pairs"}
 
 _NEEDS_PAIRS = {"table1", "p2check", "assoc", "diverge", "tails"}
 _NEEDS_SIZES = {"table1", "table2", "p2check", "diverge", "tails", "spectrum-pairs"}
@@ -262,11 +269,24 @@ def _run_table1(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
     return columns, rows, formats
 
 
-def _check_dense_budget(cfg: ReportConfig) -> None:
-    needed = spectra.dense_bytes(cfg.sizes)
-    if needed > _MAX_DENSE_BYTES:
+def _linear_bytes(sizes: list[int]) -> int:
+    """Peak bytes of the O(N) commands at these sizes, estimated.
+
+    One size is computed at a time, so this is the largest size's estimate.
+    """
+    return _LINEAR_BYTES_PER_LABEL * max(sizes, default=0)
+
+
+def _check_memory(cfg: ReportConfig) -> None:
+    """Refuse sizes whose estimated arrays exceed the limit, naming the largest N."""
+    if cfg.command in _SPECTRA:
+        needed = spectra.dense_bytes(cfg.sizes)
         # The estimate grows with ceil(N/2)^2, and dense_bytes([2]) is its unit.
         largest = 2 * math.isqrt(_MAX_DENSE_BYTES // spectra.dense_bytes([2]))
+    else:
+        needed = _linear_bytes(cfg.sizes)
+        largest = _MAX_DENSE_BYTES // _LINEAR_BYTES_PER_LABEL
+    if needed > _MAX_DENSE_BYTES:
         raise UsageError(
             f"{cfg.command} at sizes {cfg.sizes} needs about {needed / 2**30:.1f} GiB "
             f"of arrays, above the {_MAX_DENSE_BYTES / 2**30:.0f} GiB limit; "
@@ -275,7 +295,6 @@ def _check_dense_budget(cfg: ReportConfig) -> None:
 
 
 def _run_table2(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    _check_dense_budget(cfg)
     largest = cfg.sizes[-1]
     if cfg.delete_tail >= largest:
         raise UsageError(
@@ -421,7 +440,6 @@ def _run_tails(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
 
 
 def _run_spectrum_pairs(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    _check_dense_budget(cfg)
     columns = ["size", "pair_count", "zero_modes", "max_pair_gap", "pairing_ok"]
     rows = []
     for size in cfg.sizes:
@@ -517,6 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _assemble_config(args)
+        _check_memory(cfg)
         columns, rows, formats = _RUNNERS[cfg.command](cfg)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

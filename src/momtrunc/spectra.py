@@ -11,7 +11,10 @@ In parity order the truncation is ``A = [[0, W], [-W^T, 0]]`` with
 and its even block ``W^T W``.  Every spectrum reported here is therefore a
 union of squared singular values of leading blocks of ``W``
 (:func:`singular_spectrum`); the dense eigensolve (:func:`eigen_symmetric`
-on :func:`squared_momentum`) is kept as the independent reference.
+on :func:`squared_momentum`) is kept as the independent reference.  The
+opposite pairs and the zero mode at odd order are structural too, up to
+W having full rank; :func:`spectrum_pairing` proves that with a shifted
+Cholesky factorization of ``W^T W`` instead of an SVD.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
-# Fraction of the largest eigenvalue below which an eigenvalue of the
-# (positive semidefinite) square counts as an exact zero mode.
-_ZERO_FRACTION = 1e-8
+# Unit roundoff u of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
 # Peak float64 arrays of ceil(N/2)^2 entries live during one block SVD: W,
 # LAPACK's copy and workspace, the singular vectors and the residual
 # temporaries (measured: about 9 at N = 2000..4000, above the interpreter's
@@ -70,10 +72,17 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class PairingReport:
-    """Opposite-pair structure of the truncated matrix's eigenvalues."""
+    """Opposite-pair structure of the truncated matrix's eigenvalues.
+
+    ``pair_count`` opposite pairs +/-sigma and ``zero_modes`` zero
+    eigenvalues; ``ok`` when no violation was recorded.  From
+    :func:`spectrum_pairing` the counts are structural and a violation means
+    W was not certified full rank; the sigma themselves come from
+    :func:`near_integer_check`.
+    """
 
     order: int
-    magnitudes: tuple[float, ...]
+    pair_count: int
     zero_modes: int
     violations: tuple[str, ...]
     max_pair_gap: float
@@ -81,10 +90,6 @@ class PairingReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.magnitudes)
 
 
 @dataclass(frozen=True)
@@ -236,8 +241,9 @@ def dense_bytes(sizes: list[int]) -> int:
 
     One order is solved at a time and only O(N) values are cached, so the
     estimate is that of the largest order: ``_BLOCK_ARRAYS`` float64 arrays
-    of ceil(N/2)^2 entries for the SVD of W and its residual check.
-    Computed from the orders alone, before anything is allocated.
+    of ceil(N/2)^2 entries for the SVD of W and its residual check (the
+    rank certificate of :func:`spectrum_pairing` holds fewer).  Computed
+    from the orders alone, before anything is allocated.
     """
     half = (max(sizes, default=0) + 1) // 2
     return _BLOCK_ARRAYS * 8 * half * half
@@ -251,43 +257,78 @@ def squared_momentum(size: int) -> TruncatedMatrix:
     )
 
 
-def _pair_magnitudes(size: int) -> tuple[np.ndarray, int]:
-    """Positive eigenvalue magnitudes of the truncation and its zero modes.
+def _certificate_shift(order: int, frobenius_sq: float) -> float:
+    """Shift tau of the full-rank certificate for W at this truncation order.
 
-    The magnitudes are the singular values sigma of W(ceil(N/2), floor(N/2)),
-    ascending; each stands for the opposite pair +/-sigma.  Zero modes are
-    the ceil(N/2) - floor(N/2) structural ones, plus two for any sigma^2 at
-    or below ``_ZERO_FRACTION`` of the largest.
+    tau = (1 + 2^-10) gamma_{N+2} ||W||_F^2, with gamma_k = k u / (1 - k u)
+    and u the unit roundoff; see :func:`_full_rank_certified`.
     """
-    p, q = (size + 1) // 2, size // 2
-    squares = _block_squares(p, q)
-    zero_cut = _ZERO_FRACTION * max(float(squares[-1]) if squares.size else 0.0, 1.0)
-    tiny = int(np.count_nonzero(squares <= zero_cut))
-    return np.sqrt(squares[tiny:]), (p - q) + 2 * tiny
+    k_u = (order + 2) * _UNIT_ROUNDOFF
+    return (1.0 + 2.0**-10) * k_u / (1.0 - k_u) * frobenius_sq
+
+
+def _full_rank_certified(p: int, q: int) -> bool:
+    """Whether W(p, q), p >= q, provably has full column rank q.
+
+    Forms G = W^T W and f = ||W||_F^2 and attempts the Cholesky
+    factorization G - tau I = R^T R, tau from :func:`_certificate_shift`
+    at N = p + q.  If it completes, W^T W - tau I differs from the positive
+    definite R^T R by at most the three rounding terms, each bounded in the
+    2-norm by a multiple of f:
+
+    * the product W^T W: gamma_p f, since |fl(W^T W) - W^T W| <= gamma_p
+      |W|^T |W| and || |W|^T |W| ||_2 <= f;
+    * subtracting tau on the diagonal: u f;
+    * the factorization: gamma_{q+1} ||R||_F^2 (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., Thm 10.3), with
+      ||R||_F^2 = trace(R^T R) = f to within a relative (N + 2) u.
+
+    gamma_p + u + gamma_{q+1} <= gamma_{N+2}, and the factor 1 + 2^-10
+    absorbs ||R||_F^2 != f and the rounding of f and tau themselves, so
+    sigma_min(W)^2 > 2^-12 tau > 0: W has full rank.  The margin dwarfs the
+    entrywise rounding of W's own entries.  A failed factorization proves
+    nothing either way; it is reported as a failed certificate.  tau grows
+    like N^4 u, and at the largest accepted order (N = 13376) it is about
+    0.6 against sigma_min^2 ~ 1.
+    """
+    if q == 0:
+        return True
+    w = _w_block(p, q)
+    gram = w.T @ w
+    tau = _certificate_shift(p + q, float(np.einsum("ij,ij->", w, w)))
+    del w  # before the factorization allocates its output
+    gram[np.diag_indices(q)] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectrum_pairing(size: int) -> PairingReport:
     """Opposite-pair check for the truncated matrix's eigenvalues.
 
-    The real eigenvalues of the truncation are +/-sigma for the singular
-    values sigma of W (see :func:`singular_spectrum`), so the pairs, and the
-    doublets of the square, are structural: ``max_pair_gap`` is 0.0 and
-    ``magnitudes`` are the sigma, ascending.  A nondegenerate zero mode must
-    appear exactly when the order is odd; a failure is recorded as a
-    violation in the report, not raised.
+    In parity order the truncation is [[0, W], [-W^T, 0]] with
+    W = W(ceil(N/2), floor(N/2)), so its real eigenvalues are +/-sigma for
+    the singular values sigma of W plus ceil(N/2) - floor(N/2) structural
+    zeros: the pairs, and the doublets of the square, are structural and
+    ``max_pair_gap`` is 0.0.  What is left to check is that no sigma is
+    zero, i.e. that W has full column rank.  That is proved by a shifted
+    Cholesky factorization of W^T W (see :func:`_full_rank_certified`), not
+    by an SVD.  When it holds there are ``pair_count`` = floor(N/2) pairs
+    and ``zero_modes`` = N mod 2, the one nondegenerate zero mode at odd
+    order.  Otherwise the report carries a violation (not raised) and the
+    counts are the structural ones.
     """
     size = _check_index(size, "size")
-    magnitudes, zero_modes = _pair_magnitudes(size)
-    expected_zeros = size % 2
+    p, q = (size + 1) // 2, size // 2
     violations = []
-    if zero_modes != expected_zeros:
-        violations.append(
-            f"expected {expected_zeros} zero mode(s) for order {size}, found {zero_modes}"
-        )
+    if not _full_rank_certified(p, q):
+        violations.append(f"W({p}, {q}) not certified full rank")
     return PairingReport(
         order=size,
-        magnitudes=tuple(magnitudes.tolist()),
-        zero_modes=zero_modes,
+        pair_count=q,
+        zero_modes=p - q,
         violations=tuple(violations),
         max_pair_gap=0.0,
     )
@@ -305,13 +346,14 @@ def near_integer_check(size: int) -> list[NearInteger]:
     The positive eigenvalue magnitudes of the truncation sit close to
     integers whose parity is opposite to that of the truncation order; the
     low-lying ones are within 0.01 for orders around 1000.  Returns one
-    record per opposite pair +/-sigma (see :func:`spectrum_pairing`),
-    ascending in sigma.
+    record per opposite pair +/-sigma, that is per singular value sigma of
+    W(ceil(N/2), floor(N/2)) (see :func:`singular_spectrum`): floor(N/2)
+    records, ascending in sigma.
     """
     size = _check_index(size, "size")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    magnitudes, _ = _pair_magnitudes(size)
+    magnitudes = np.sqrt(_block_squares((size + 1) // 2, size // 2))
     odd_targets = size % 2 == 0
     records = []
     for magnitude in magnitudes.tolist():

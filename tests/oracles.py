@@ -70,7 +70,6 @@ def dense_pairing(size: int, tol: float = 1e-6) -> PairingReport:
     if len(rest) % 2 == 1:
         violations.append("nonzero eigenvalues do not split into pairs")
         rest = rest[:-1]
-    magnitudes = []
     max_gap = 0.0
     for i in range(0, len(rest), 2):
         lo, hi = float(rest[i]), float(rest[i + 1])
@@ -78,10 +77,9 @@ def dense_pairing(size: int, tol: float = 1e-6) -> PairingReport:
         max_gap = max(max_gap, gap)
         if not _close(lo, hi, tol):
             violations.append(f"unpaired eigenvalues {lo!r} and {hi!r}")
-        magnitudes.append(math.sqrt(0.5 * (lo + hi)))
     return PairingReport(
         order=size,
-        magnitudes=tuple(magnitudes),
+        pair_count=len(rest) // 2,
         zero_modes=zero_modes,
         violations=tuple(violations),
         max_pair_gap=max_gap,

@@ -146,6 +146,15 @@ class TestOtherCommands:
         monkeypatch.setattr(spectra, "_square_array", refuse)
         assert run_cli(args + ["--out", os.devnull]) == 0
 
+    def test_spectrum_pairs_takes_no_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposition called")
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(spectra, "_block_svd", refuse)
+        assert run_cli(["spectrum-pairs", "--out", os.devnull]) == 0
+
     def test_spectrum_pairs_report(self, tmp_path):
         out = tmp_path / "pairs.csv"
         code = run_cli(["spectrum-pairs", "--sizes", "9,10", "--out", str(out)])
@@ -199,7 +208,7 @@ class TestConfigAndErrors:
 
     def test_failed_residual_check_is_runtime_error(self, monkeypatch, capsys):
         monkeypatch.setattr(spectra, "_RESIDUAL_TOL", -1.0)
-        assert run_cli(["spectrum-pairs", "--sizes", "10"]) == 1
+        assert run_cli(["table2", "--sizes", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("momtrunc: error: eigensolve residual")
         assert err.count("\n") == 1
@@ -215,6 +224,33 @@ class TestDenseSizeGuard:
     def test_limit_admits_sizes_up_to_13376(self):
         assert spectra.dense_bytes([13376]) <= cli._MAX_DENSE_BYTES
         assert spectra.dense_bytes([13377]) > cli._MAX_DENSE_BYTES
+
+    def test_linear_estimate_is_that_of_the_largest_size(self):
+        assert cli._linear_bytes([10**7]) == 64 * 10**7
+        assert cli._linear_bytes([99, 1000]) == cli._linear_bytes([1000])
+        # table1 at N = 10^7 peaks at about 450 MiB of RSS.
+        assert cli._linear_bytes([10**7]) >= 450 * 2**20
+
+    def test_linear_limit_admits_sizes_up_to_67108864(self):
+        assert cli._linear_bytes([67108864]) <= cli._MAX_DENSE_BYTES
+        assert cli._linear_bytes([67108865]) > cli._MAX_DENSE_BYTES
+
+    @pytest.mark.parametrize(
+        "command, pairs",
+        [("table1", "1,2"), ("diverge", "1,1"), ("p2check", "1,1"), ("tails", "1,2")],
+    )
+    def test_oversized_linear_request_exits_before_allocating(
+        self, command, pairs, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        assert run_cli([command, "--pairs", pairs, "--sizes", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("momtrunc: error:") and err.count("\n") == 1
+        assert "accepted up to N = 67108864" in err
 
     @pytest.mark.parametrize("command", ["table2", "spectrum-pairs"])
     def test_oversized_request_exits_before_allocating(self, command, monkeypatch, capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momtrunc import spectra
+from momtrunc import cli, spectra
+from momtrunc.cli import main
 from momtrunc.operator import Convention, momentum_array
 from momtrunc.spectra import (
     eigen_symmetric,
@@ -114,7 +115,8 @@ class TestSpectrumPairing:
         assert report.ok
         assert report.zero_modes == 0
         assert report.pair_count == 1
-        assert report.magnitudes[0] == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
+        magnitude = near_integer_check(2)[0].magnitude
+        assert magnitude == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-12)
 
     def test_odd_order_has_single_zero_mode(self):
         report = spectrum_pairing(5)
@@ -128,6 +130,49 @@ class TestSpectrumPairing:
         assert report.zero_modes == 0
         assert report.pair_count == 5
         assert report.max_pair_gap <= 1e-10
+
+    def test_certificate_agrees_with_svd(self):
+        for order in range(1, 61):
+            p, q = (order + 1) // 2, order // 2
+            w = spectra._w_block(p, q)
+            sigma = np.linalg.svd(w, compute_uv=False)
+            tau = spectra._certificate_shift(order, float(np.sum(w * w)))
+            assert sigma.min(initial=np.inf) ** 2 > tau, order
+            assert spectra._full_rank_certified(p, q), order
+            assert spectrum_pairing(order).ok
+
+    def test_rank_deficient_block_is_a_violation(self, monkeypatch, tmp_path):
+        block = spectra._w_block
+
+        def rank_deficient(p, q):
+            w = block(p, q).copy()
+            w[:, -1] = w[:, 0]
+            return w
+
+        monkeypatch.setattr(spectra, "_w_block", rank_deficient)
+        report = spectrum_pairing(10)
+        assert not report.ok
+        assert report.violations == ("W(5, 5) not certified full rank",)
+        out = tmp_path / "pairs.csv"
+        assert main(["spectrum-pairs", "--sizes", "9,10", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "9,4,1,0.000e+00,false",
+            "10,5,0,0.000e+00,false",
+        ]
+
+    def test_certificate_holds_at_the_largest_accepted_order(self):
+        # tau grows like N^4 u against sigma_min^2 ~ 1 (0.9997 here), so a
+        # size limit raised much past N = 13376 needs a different proof.
+        order = 13376
+        assert spectra.dense_bytes([order + 1]) > cli._MAX_DENSE_BYTES
+        p, q = (order + 1) // 2, order // 2
+        n = np.arange(2.0, 2.0 * q + 1.0, 2.0)
+        frobenius_sq = 0.0
+        for start in range(1, 2 * p, 512):
+            m = np.arange(float(start), min(start + 512, 2 * p), 2.0)
+            w = -4.0 * np.outer(m, n) / (math.pi * (m[:, None] ** 2 - n[None, :] ** 2))
+            frobenius_sq += float(np.sum(w * w))
+        assert spectra._certificate_shift(order, frobenius_sq) < 0.9
 
 
 class TestNearInteger:
@@ -150,6 +195,20 @@ class TestNearInteger:
     def test_rejects_tiny_orders(self):
         with pytest.raises(ValueError):
             near_integer_check(1)
+
+    def test_one_record_per_singular_value(self):
+        for order in range(2, 61):
+            assert len(near_integer_check(order)) == order // 2
+
+    def test_small_singular_values_are_kept(self, monkeypatch):
+        # sigma^2 spans 1e-10 of the largest: no relative cut may drop it.
+        monkeypatch.setattr(spectra, "_w_block", lambda p, q: np.diag([1e-5, 1.0]))
+        spectra._block_svd.cache_clear()
+        try:
+            records = near_integer_check(4)
+        finally:
+            spectra._block_svd.cache_clear()
+        assert [r.magnitude for r in records] == pytest.approx([1e-5, 1.0], rel=1e-12)
 
 
 class TestRepair:
