@@ -13,11 +13,9 @@ experiment as a CSV or JSON report.
 """
 
 from .operator import (
-    Convention,
     TruncatedMatrix,
     momentum_array,
     momentum_entry,
-    momentum_matrix,
     momentum_row,
     p2_exact_entry,
     p3_hermitian_entry,
@@ -25,12 +23,10 @@ from .operator import (
     quadrature_entry,
 )
 from .products import (
-    ConvergenceSeries,
     associativity_gap,
     p2_partial_sum,
     pp2p_partial_sum,
     quad_power_entry,
-    sweep_triple_product,
     triple_product_sum,
 )
 from .spectra import (
@@ -39,9 +35,6 @@ from .spectra import (
     SpectrumReport,
     eigen_symmetric,
     near_integer_check,
-    parity_blocks,
-    parity_permutation,
-    parity_reorder,
     repair_convergence,
     singular_spectrum,
     spectrum_pairing,
@@ -61,31 +54,24 @@ from .tails import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Convention",
     "TruncatedMatrix",
     "momentum_array",
     "momentum_entry",
-    "momentum_matrix",
     "momentum_row",
     "p2_exact_entry",
     "p3_hermitian_entry",
     "p3_naive_entry",
     "quadrature_entry",
-    "ConvergenceSeries",
     "associativity_gap",
     "p2_partial_sum",
     "pp2p_partial_sum",
     "quad_power_entry",
-    "sweep_triple_product",
     "triple_product_sum",
     "NearInteger",
     "PairingReport",
     "SpectrumReport",
     "eigen_symmetric",
     "near_integer_check",
-    "parity_blocks",
-    "parity_permutation",
-    "parity_reorder",
     "repair_convergence",
     "singular_spectrum",
     "spectrum_pairing",

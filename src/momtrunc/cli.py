@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -42,57 +41,26 @@ class ReportConfig:
     pairs: list[tuple[int, int]] = field(default_factory=list)
     sizes: list[int] = field(default_factory=list)
     delete_tail: int = 0
-    fmt: str = "csv"
+    format: str = "csv"
     out: str | None = None
 
-    def echo(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "pairs": [list(p) for p in self.pairs],
-            "sizes": list(self.sizes),
-            "delete_tail": self.delete_tail,
-            "format": self.fmt,
-            "out": self.out,
-        }
-
-
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "table1": {
-        "pairs": [(1, 2), (2, 3), (20, 31), (60, 91)],
-        "sizes": [99, 100, 999, 1000, 1999, 2000],
-    },
-    "table2": {"pairs": [], "sizes": [999, 1000], "delete_tail": 1},
-    "p2check": {
-        "pairs": [(1, 1), (1, 3), (2, 2), (2, 4), (3, 5)],
-        "sizes": [1000, 10000, 100000],
-    },
-    "assoc": {"pairs": [(1, 2), (2, 3), (3, 4)], "sizes": []},
-    "diverge": {"pairs": [(1, 1), (1, 3)], "sizes": [250, 500, 1000, 2000]},
-    "tails": {"pairs": [(1, 2), (3, 4)], "sizes": [200, 400, 800, 1600]},
-    "spectrum-pairs": {"pairs": [], "sizes": [999, 1000]},
-}
 
 # Largest array footprint any command accepts, estimated from the sizes
 # before anything is allocated (see _check_memory).
 _MAX_DENSE_BYTES = 4 * 2**30
 # Bytes per label that table1, diverge, p2check and tails hold at peak for
-# their largest size: a few float64 vectors of the size plus the list of
-# Python floats handed to math.fsum (measured peak RSS above the ~29 MiB
-# interpreter at N = 10^6 and 4 * 10^6: 32 B for table1 and tails, 44 B for
-# diverge, 48 B for p2check; 64 keeps a margin).
+# their largest size: a few float64 vectors of the size, summed by math.fsum
+# one fixed-size chunk at a time (measured peak RSS above the ~29 MiB
+# interpreter at N = 10^6 and 4 * 10^6: 21 B for tails, 32-35 B for table1
+# and p2check, 44 B for diverge; 64 keeps a margin).
 _LINEAR_BYTES_PER_LABEL = 64
-_SPECTRA = {"table2", "spectrum-pairs"}
-
-_NEEDS_PAIRS = {"table1", "p2check", "assoc", "diverge", "tails"}
-_NEEDS_SIZES = {"table1", "table2", "p2check", "diverge", "tails", "spectrum-pairs"}
+# Keys a config file may set; the flag of the same name wins over each.
+_CONFIG_KEYS = ("pairs", "sizes", "delete_tail", "format", "out")
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 2:
             raise UsageError(f"bad pair {chunk!r}: expected 'm,n'")
@@ -108,10 +76,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 def _parse_sizes(text: str) -> list[int]:
     sizes = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         try:
             value = int(chunk)
         except ValueError as exc:
@@ -131,8 +96,7 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    allowed = {"pairs", "sizes", "format", "out", "delete_tail"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return raw
@@ -143,7 +107,8 @@ def _is_count(value: Any, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _pairs_from_config(value: Any) -> list[tuple[int, int]]:
+def _read_pairs(value: Any) -> list[tuple[int, int]]:
+    """Pairs from a flag's 'm,n;m,n' string or a config file's string or list."""
     if isinstance(value, str):
         return _parse_pairs(value)
     if isinstance(value, list):
@@ -159,114 +124,56 @@ def _pairs_from_config(value: Any) -> list[tuple[int, int]]:
     raise UsageError(f"config pairs must be a list or 'm,n;m,n' string, got {value!r}")
 
 
+def _read_sizes(value: Any) -> list[int]:
+    """Sizes from a flag's 'N1,N2' string or a config file's string or list."""
+    if isinstance(value, str):
+        return _parse_sizes(value)
+    if isinstance(value, list) and all(_is_count(v, 1) for v in value):
+        return value
+    raise UsageError(f"config sizes must be positive integers, got {value!r}")
+
+
 def _assemble_config(args: argparse.Namespace) -> ReportConfig:
     command = args.command
-    defaults = _DEFAULTS[command]
+    experiment = EXPERIMENTS[command]
     file_cfg = _load_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    flags = {key: value for key, value in flags.items() if value is not None}
 
-    pairs = defaults.get("pairs", [])
-    if "pairs" in file_cfg:
-        pairs = _pairs_from_config(file_cfg["pairs"])
-    if args.pairs is not None:
-        pairs = _parse_pairs(args.pairs)
+    # Pairs and sizes are checked as each source gives them; flags win.
+    pairs, sizes = list(experiment.pairs), list(experiment.sizes)
+    for given in (file_cfg, flags):
+        if "pairs" in given:
+            pairs = _read_pairs(given["pairs"])
+        if "sizes" in given:
+            sizes = _read_sizes(given["sizes"])
+    values = {**file_cfg, **flags}
+    cfg = ReportConfig(
+        command=command,
+        pairs=pairs,
+        sizes=sizes,
+        delete_tail=values.get("delete_tail", experiment.delete_tail or 0),
+        format=values.get("format", "csv"),
+        out=values.get("out"),
+    )
 
-    sizes = defaults.get("sizes", [])
-    if "sizes" in file_cfg:
-        sizes = file_cfg["sizes"]
-        if isinstance(sizes, str):
-            sizes = _parse_sizes(sizes)
-        elif not (
-            isinstance(sizes, list) and all(_is_count(v, 1) for v in sizes)
-        ):
-            raise UsageError(f"config sizes must be positive integers, got {sizes!r}")
-    if args.sizes is not None:
-        sizes = _parse_sizes(args.sizes)
-
-    delete_tail = defaults.get("delete_tail", 0)
-    if "delete_tail" in file_cfg:
-        delete_tail = file_cfg["delete_tail"]
-    if getattr(args, "delete_tail", None) is not None:
-        delete_tail = args.delete_tail
-    if not _is_count(delete_tail, 0):
-        raise UsageError(f"delete_tail must be a nonnegative integer, got {delete_tail!r}")
-
-    fmt = file_cfg.get("format", "csv")
-    if args.format is not None:
-        fmt = args.format
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-    out = file_cfg.get("out")
-    if args.out is not None:
-        out = args.out
-    if out is not None and not isinstance(out, str):
-        raise UsageError(f"out must be a path string, got {out!r}")
-
-    if command in _NEEDS_PAIRS and not pairs:
+    if not _is_count(cfg.delete_tail, 0):
+        raise UsageError(
+            f"delete_tail must be a nonnegative integer, got {cfg.delete_tail!r}"
+        )
+    if cfg.format not in ("csv", "json"):
+        raise UsageError(f"format must be 'csv' or 'json', got {cfg.format!r}")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise UsageError(f"out must be a path string, got {cfg.out!r}")
+    # A command needs the inputs it has defaults for.
+    if experiment.pairs and not pairs:
         raise UsageError(f"{command} requires at least one pair")
-    if command in _NEEDS_SIZES:
+    if experiment.sizes:
         if not sizes:
             raise UsageError(f"{command} requires at least one size")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise UsageError(f"sizes must be strictly ascending, got {sizes}")
-
-    return ReportConfig(
-        command=command,
-        pairs=pairs,
-        sizes=sizes,
-        delete_tail=delete_tail,
-        fmt=fmt,
-        out=out,
-    )
-
-
-# --- report builders -------------------------------------------------------
-
-Row = list[Any]
-Formats = dict[str, Callable[[Any], str]]
-
-
-def _fmt(format_spec: str) -> Callable[[Any], str]:
-    def render(value: Any) -> str:
-        return format(value, format_spec)
-
-    return render
-
-
-def _render_bool(value: Any) -> str:
-    return str(bool(value)).lower()
-
-
-_INT = str
-_G6 = _fmt(".6g")
-_G7 = _fmt(".7g")
-_G8 = _fmt(".8g")
-_G10 = _fmt(".10g")
-_E3 = _fmt(".3e")
-_E6 = _fmt(".6e")
-_F4 = _fmt(".4f")
-_BOOL = _render_bool
-
-
-def _run_table1(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    columns = ["m", "n", "size", "triple_product", "target", "abs_error"]
-    rows: list[Row] = []
-    for m, n in cfg.pairs:
-        target = p3_hermitian_entry(m, n)
-        for size in cfg.sizes:
-            if size < max(m, n):
-                raise UsageError(f"size {size} is smaller than pair ({m},{n})")
-            value = products.triple_product_sum(m, n, size)
-            rows.append([m, n, size, value, target, abs(value - target)])
-    formats = {
-        "m": _INT,
-        "n": _INT,
-        "size": _INT,
-        "triple_product": _G6,
-        "target": _G6,
-        "abs_error": _E3,
-    }
-    return columns, rows, formats
+    return cfg
 
 
 def _linear_bytes(sizes: list[int]) -> int:
@@ -277,24 +184,56 @@ def _linear_bytes(sizes: list[int]) -> int:
     return _LINEAR_BYTES_PER_LABEL * max(sizes, default=0)
 
 
+def _largest_accepted(estimate: Callable[[list[int]], int]) -> int:
+    """Largest single size whose estimate fits the limit (estimates grow with N)."""
+    low, high = 0, _MAX_DENSE_BYTES
+    while low < high:
+        mid = (low + high + 1) // 2
+        if estimate([mid]) <= _MAX_DENSE_BYTES:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 def _check_memory(cfg: ReportConfig) -> None:
     """Refuse sizes whose estimated arrays exceed the limit, naming the largest N."""
-    if cfg.command in _SPECTRA:
-        needed = spectra.dense_bytes(cfg.sizes)
-        # The estimate grows with ceil(N/2)^2, and dense_bytes([2]) is its unit.
-        largest = 2 * math.isqrt(_MAX_DENSE_BYTES // spectra.dense_bytes([2]))
-    else:
-        needed = _linear_bytes(cfg.sizes)
-        largest = _MAX_DENSE_BYTES // _LINEAR_BYTES_PER_LABEL
+    estimate = EXPERIMENTS[cfg.command].estimate_bytes
+    needed = estimate(cfg.sizes)
     if needed > _MAX_DENSE_BYTES:
         raise UsageError(
             f"{cfg.command} at sizes {cfg.sizes} needs about {needed / 2**30:.1f} GiB "
             f"of arrays, above the {_MAX_DENSE_BYTES / 2**30:.0f} GiB limit; "
-            f"sizes are accepted up to N = {largest}"
+            f"sizes are accepted up to N = {_largest_accepted(estimate)}"
         )
 
 
-def _run_table2(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
+# --- report builders -------------------------------------------------------
+
+Row = list[Any]
+# (name, format spec) per column; None cells render empty, booleans as
+# true/false.
+Columns = list[tuple[str, str]]
+Report = tuple[Columns, list[Row]]
+_LABELS: Columns = [("m", ""), ("n", ""), ("size", "")]
+
+
+def _run_table1(cfg: ReportConfig) -> Report:
+    rows: list[Row] = []
+    for m, n in cfg.pairs:
+        target = p3_hermitian_entry(m, n)
+        for size in cfg.sizes:
+            if size < max(m, n):
+                raise UsageError(f"size {size} is smaller than pair ({m},{n})")
+            value = products.triple_product_sum(m, n, size)
+            rows.append([m, n, size, value, target, abs(value - target)])
+    columns = _LABELS + [
+        ("triple_product", ".6g"), ("target", ".6g"), ("abs_error", ".3e")
+    ]
+    return columns, rows
+
+
+def _run_table2(cfg: ReportConfig) -> Report:
     largest = cfg.sizes[-1]
     if cfg.delete_tail >= largest:
         raise UsageError(
@@ -312,73 +251,48 @@ def _run_table2(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
         )
     spectra_by_column.append((f"complete_{largest}", spectra.singular_spectrum(largest)))
 
-    columns = ["rank"] + [name for name, _ in spectra_by_column]
     depth = max(len(vals) for _, vals in spectra_by_column)
-    rows = []
-    for i in range(depth):
-        row: Row = [i + 1]
-        for _, vals in spectra_by_column:
-            row.append(float(vals[i]) if i < len(vals) else None)
-        rows.append(row)
-    formats: Formats = {"rank": _INT}
-    for name, _ in spectra_by_column:
-        formats[name] = _G7
-    return columns, rows, formats
+    rows = [
+        [i + 1] + [float(v[i]) if i < len(v) else None for _, v in spectra_by_column]
+        for i in range(depth)
+    ]
+    columns = [("rank", "")] + [(name, ".7g") for name, _ in spectra_by_column]
+    return columns, rows
 
 
-def _run_p2check(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    columns = ["m", "n", "size", "partial_sum", "exact", "abs_error"]
+def _run_p2check(cfg: ReportConfig) -> Report:
     rows = []
     for m, n in cfg.pairs:
         exact = p2_exact_entry(m, n)
         for size in cfg.sizes:
             value = products.p2_partial_sum(m, n, size)
             rows.append([m, n, size, value, exact, abs(value - exact)])
-    formats = {
-        "m": _INT,
-        "n": _INT,
-        "size": _INT,
-        "partial_sum": _G10,
-        "exact": _G6,
-        "abs_error": _E3,
-    }
-    return columns, rows, formats
+    columns = _LABELS + [
+        ("partial_sum", ".10g"), ("exact", ".6g"), ("abs_error", ".3e")
+    ]
+    return columns, rows
 
 
-def _run_assoc(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    columns = ["m", "n", "left_product", "right_product", "ratio"]
+def _run_assoc(cfg: ReportConfig) -> Report:
     rows = []
     for m, n in cfg.pairs:
         left, right = products.associativity_gap(m, n)
         ratio = left / right if right != 0.0 else None
         rows.append([m, n, left, right, ratio])
-    formats = {
-        "m": _INT,
-        "n": _INT,
-        "left_product": _G6,
-        "right_product": _G6,
-        "ratio": _G6,
-    }
-    return columns, rows, formats
+    columns = _LABELS[:2] + [
+        ("left_product", ".6g"), ("right_product", ".6g"), ("ratio", ".6g")
+    ]
+    return columns, rows
 
 
-def _run_diverge(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
+def _run_diverge(cfg: ReportConfig) -> Report:
     for m, n in cfg.pairs:
         if (m + n) % 2 == 1:
             raise UsageError(
                 f"diverge requires same-parity pairs, got ({m},{n})"
             )
-        if cfg.sizes and cfg.sizes[0] < max(m, n):
+        if cfg.sizes[0] < max(m, n):
             raise UsageError(f"size {cfg.sizes[0]} is smaller than pair ({m},{n})")
-    columns = [
-        "m",
-        "n",
-        "size",
-        "fourth_power",
-        "exact_fourth_power",
-        "middle_sum_partial",
-        "growth_slope",
-    ]
     rows = []
     for m, n in cfg.pairs:
         exact = float(m * m * n * n) if m == n else 0.0
@@ -393,20 +307,16 @@ def _run_diverge(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
             slope = None
         for size, value, partial in zip(cfg.sizes, values, partials):
             rows.append([m, n, size, value, exact, partial, slope])
-    formats = {
-        "m": _INT,
-        "n": _INT,
-        "size": _INT,
-        "fourth_power": _G8,
-        "exact_fourth_power": _G6,
-        "middle_sum_partial": _G8,
-        "growth_slope": _F4,
-    }
-    return columns, rows, formats
+    columns = _LABELS + [
+        ("fourth_power", ".8g"),
+        ("exact_fourth_power", ".6g"),
+        ("middle_sum_partial", ".8g"),
+        ("growth_slope", ".4f"),
+    ]
+    return columns, rows
 
 
-def _run_tails(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    columns = ["m", "n", "size", "k_max", "exact", "near_boundary", "telescoped"]
+def _run_tails(cfg: ReportConfig) -> Report:
     rows = []
     for m, n in cfg.pairs:
         for size in cfg.sizes:
@@ -416,78 +326,115 @@ def _run_tails(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
                     f"got ({m},{n}) at size {size}"
                 )
             estimate = tails.tail_estimate(m, n, size)
-            rows.append(
-                [
-                    m,
-                    n,
-                    size,
-                    size // 10,
-                    estimate.exact,
-                    estimate.near_boundary,
-                    estimate.telescoped,
-                ]
-            )
-    formats = {
-        "m": _INT,
-        "n": _INT,
-        "size": _INT,
-        "k_max": _INT,
-        "exact": _E6,
-        "near_boundary": _E6,
-        "telescoped": _E6,
-    }
-    return columns, rows, formats
+            stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
+            rows.append([m, n, size, size // 10, *stages])
+    columns = _LABELS + [
+        ("k_max", ""), ("exact", ".6e"), ("near_boundary", ".6e"), ("telescoped", ".6e")
+    ]
+    return columns, rows
 
 
-def _run_spectrum_pairs(cfg: ReportConfig) -> tuple[list[str], list[Row], Formats]:
-    columns = ["size", "pair_count", "zero_modes", "max_pair_gap", "pairing_ok"]
+def _run_spectrum_pairs(cfg: ReportConfig) -> Report:
     rows = []
     for size in cfg.sizes:
         report = spectra.spectrum_pairing(size)
         rows.append(
             [size, report.pair_count, report.zero_modes, report.max_pair_gap, report.ok]
         )
-    formats = {
-        "size": _INT,
-        "pair_count": _INT,
-        "zero_modes": _INT,
-        "max_pair_gap": _E3,
-        "pairing_ok": _BOOL,
-    }
-    return columns, rows, formats
+    columns = [
+        ("size", ""),
+        ("pair_count", ""),
+        ("zero_modes", ""),
+        ("max_pair_gap", ".3e"),
+        ("pairing_ok", ""),
+    ]
+    return columns, rows
 
 
-_RUNNERS = {
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "p2check": _run_p2check,
-    "assoc": _run_assoc,
-    "diverge": _run_diverge,
-    "tails": _run_tails,
-    "spectrum-pairs": _run_spectrum_pairs,
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its help, defaults, report builder and memory estimate.
+
+    A command requires pairs (sizes) exactly when it has default pairs
+    (sizes); ``delete_tail`` is None for commands without ``--delete-tail``.
+    """
+
+    help: str
+    run: Callable[[ReportConfig], Report]
+    pairs: tuple[tuple[int, int], ...] = ()
+    sizes: tuple[int, ...] = ()
+    delete_tail: int | None = None
+    estimate_bytes: Callable[[list[int]], int] = _linear_bytes
+
+
+EXPERIMENTS = {
+    "table1": Experiment(
+        "triple products against their Hermitian-part targets",
+        _run_table1,
+        pairs=((1, 2), (2, 3), (20, 31), (60, 91)),
+        sizes=(99, 100, 999, 1000, 1999, 2000),
+    ),
+    "table2": Experiment(
+        "eigenvalues of the squared truncation, complete and repaired",
+        _run_table2,
+        sizes=(999, 1000),
+        delete_tail=1,
+        estimate_bytes=spectra.dense_bytes,
+    ),
+    "p2check": Experiment(
+        "partial sums of the square's entries against m n delta_mn",
+        _run_p2check,
+        pairs=((1, 1), (1, 3), (2, 2), (2, 4), (3, 5)),
+        sizes=(1000, 10000, 100000),
+    ),
+    "assoc": Experiment(
+        "the two unequal one-sided products with the exact square",
+        _run_assoc,
+        pairs=((1, 2), (2, 3), (3, 4)),
+    ),
+    "diverge": Experiment(
+        "fourth-power and middle-sum divergence probes",
+        _run_diverge,
+        pairs=((1, 1), (1, 3)),
+        sizes=(250, 500, 1000, 2000),
+    ),
+    "tails": Experiment(
+        "boundary-tail contribution and its approximants",
+        _run_tails,
+        pairs=((1, 2), (3, 4)),
+        sizes=(200, 400, 800, 1600),
+    ),
+    "spectrum-pairs": Experiment(
+        "opposite-pair structure of the truncation's spectrum",
+        _run_spectrum_pairs,
+        sizes=(999, 1000),
+        estimate_bytes=spectra.dense_bytes,
+    ),
 }
 
 
-def _render_csv(columns: list[str], rows: list[Row], formats: Formats) -> str:
-    lines = [",".join(columns)]
+def _render_cell(value: Any, spec: str) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return format(value, spec)
+
+
+def _render_csv(columns: Columns, rows: list[Row]) -> str:
+    lines = [",".join(name for name, _ in columns)]
     for row in rows:
-        cells = []
-        for name, value in zip(columns, row):
-            if value is None:
-                cells.append("")
-            else:
-                cells.append(formats[name](value))
-        lines.append(",".join(cells))
+        lines.append(
+            ",".join(_render_cell(v, spec) for v, (_, spec) in zip(row, columns))
+        )
     return "\n".join(lines) + "\n"
 
 
-def _render_json(
-    cfg: ReportConfig, columns: list[str], rows: list[Row]
-) -> str:
+def _render_json(cfg: ReportConfig, columns: Columns, rows: list[Row]) -> str:
     payload = {
         "experiment": cfg.command,
-        "config": cfg.echo(),
-        "columns": columns,
+        "config": asdict(cfg),
+        "columns": [name for name, _ in columns],
         "rows": rows,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -504,23 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "table1": "triple products against their Hermitian-part targets",
-        "table2": "eigenvalues of the squared truncation, complete and repaired",
-        "p2check": "partial sums of the square's entries against m n delta_mn",
-        "assoc": "the two unequal one-sided products with the exact square",
-        "diverge": "fourth-power and middle-sum divergence probes",
-        "tails": "boundary-tail contribution and its approximants",
-        "spectrum-pairs": "opposite-pair structure of the truncation's spectrum",
-    }
-    for name, desc in descriptions.items():
-        cmd = sub.add_parser(name, help=desc, description=desc)
+    for name, experiment in EXPERIMENTS.items():
+        cmd = sub.add_parser(name, help=experiment.help, description=experiment.help)
         cmd.add_argument("--pairs", help="pairs as 'm,n;m,n' (1-based labels)")
         cmd.add_argument("--sizes", help="truncation sizes as 'N1,N2,...' (ascending)")
         cmd.add_argument("--format", choices=["csv", "json"], help="output format")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--config", help="JSON config file; flags win over its values")
-        if name == "table2":
+        if experiment.delete_tail is not None:
             cmd.add_argument(
                 "--delete-tail",
                 dest="delete_tail",
@@ -536,15 +474,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble_config(args)
         _check_memory(cfg)
-        columns, rows, formats = _RUNNERS[cfg.command](cfg)
+        columns, rows = EXPERIMENTS[cfg.command].run(cfg)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 1
     try:
-        if cfg.fmt == "csv":
-            text = _render_csv(columns, rows, formats)
+        if cfg.format == "csv":
+            text = _render_csv(columns, rows)
         else:
             text = _render_json(cfg, columns, rows)
         if cfg.out is None:

@@ -13,7 +13,7 @@ kept independent of the closed forms it validates.
 
 from __future__ import annotations
 
-import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,12 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Convention",
     "TruncatedMatrix",
     "momentum_entry",
     "momentum_row",
     "momentum_array",
-    "momentum_matrix",
     "quadrature_entry",
     "p2_exact_entry",
     "p3_naive_entry",
@@ -34,26 +32,17 @@ __all__ = [
 ]
 
 
-class Convention(enum.Enum):
-    """How a real matrix stores the operator: plain, or with a factor i."""
-
-    I_FACTORED = "i_factored"
-    PLAIN = "plain"
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedMatrix:
     """Dense real matrix truncated to basis labels 1..order.
 
-    ``entries[i, j]`` holds the element for basis labels (i+1, j+1).  Under
-    ``Convention.I_FACTORED`` the true entry is ``i * entries[i, j]``.
+    ``entries[i, j]`` holds the element for basis labels (i+1, j+1).
     Entries may be a read-only view into a cached array; copy before
     mutating.
     """
 
     order: int
     entries: np.ndarray
-    convention: Convention
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -70,6 +59,24 @@ def _check_index(value: int, name: str = "index") -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return int(value)
+
+
+# Terms that _fsum converts to Python floats at a time.
+_FSUM_CHUNK = 65536
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D float array: its exactly rounded sum.
+
+    Values are handed over as Python floats one chunk at a time, so no list
+    of all N values (32 bytes each) is ever built.
+    """
+    return math.fsum(
+        itertools.chain.from_iterable(
+            terms[start : start + _FSUM_CHUNK].tolist()
+            for start in range(0, terms.size, _FSUM_CHUNK)
+        )
+    )
 
 
 def momentum_entry(m: int, n: int) -> float:
@@ -117,15 +124,6 @@ def momentum_array(size: int) -> np.ndarray:
     return _antisymmetric_array(size)
 
 
-def momentum_matrix(size: int) -> TruncatedMatrix:
-    """Truncated momentum matrix in i-factored storage (antisymmetric)."""
-    return TruncatedMatrix(
-        order=_check_index(size, "size"),
-        entries=momentum_array(size),
-        convention=Convention.I_FACTORED,
-    )
-
-
 @lru_cache(maxsize=6)
 def _square_array(size: int) -> np.ndarray:
     """Square of the truncated momentum matrix, -A A (symmetric, PSD).
@@ -162,6 +160,8 @@ def _square_array(size: int) -> np.ndarray:
 
 _QUAD_PANELS = 1024
 _QUAD_ORDER = 16
+# Largest label the quadrature rule resolves to its stated accuracy.
+_QUAD_MAX_LABEL = 2048
 
 
 @lru_cache(maxsize=1)
@@ -182,8 +182,11 @@ def quadrature_entry(m: int, n: int, derivative_order: int) -> tuple[float, floa
 
     sin(n x) is differentiated analytically, so the integrand is a smooth
     trigonometric product; a composite 16-point Gauss-Legendre rule on 1024
-    panels (16384 nodes) then integrates it with absolute error far below
-    1e-10 for labels up to a few hundred.
+    panels (16384 nodes) then integrates it.  The error of each part grows
+    with the labels like the entry does: it is at most 2.5e-13 max(m, n)^k
+    for labels up to 2048 (the largest of about 5000 sampled pairs, most of
+    them near 2048, is 1.8e-13).  Larger labels raise ValueError: the nodes
+    stop resolving the integrand (6e-11 at 4096, 3e-10 at 5500).
 
     Returns ``(real_part, i_factored_part)``: the entry is
     ``real_part + i * i_factored_part``.  This path shares no code with the
@@ -193,6 +196,8 @@ def quadrature_entry(m: int, n: int, derivative_order: int) -> tuple[float, floa
     n = _check_index(n, "n")
     if derivative_order not in (1, 2, 3):
         raise ValueError(f"derivative_order must be 1, 2 or 3, got {derivative_order}")
+    if max(m, n) > _QUAD_MAX_LABEL:
+        raise ValueError(f"labels must be <= {_QUAD_MAX_LABEL}, got ({m}, {n})")
     x, w = _quadrature_nodes()
     k = derivative_order
     # d^k/dx^k sin(n x) = n^k sin(n x + k pi/2)

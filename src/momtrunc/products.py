@@ -12,49 +12,18 @@ reported for a triple product is -(A^3)_mn, and the square is P^2 = -A A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import (
-    _check_index,
-    momentum_entry,
-    momentum_row,
-    p3_hermitian_entry,
-)
+from .operator import _check_index, _fsum, momentum_entry, momentum_row
 
 __all__ = [
-    "ConvergenceSeries",
     "triple_product_sum",
-    "sweep_triple_product",
     "p2_partial_sum",
     "associativity_gap",
     "pp2p_partial_sum",
     "quad_power_entry",
 ]
-
-
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """Values of a truncated sum at increasing truncation sizes."""
-
-    m: int
-    n: int
-    points: tuple[tuple[int, float], ...]
-    target: float | None = None
-
-    def __post_init__(self) -> None:
-        sizes = [size for size, _ in self.points]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("points must be strictly increasing in size")
-
-    @property
-    def sizes(self) -> list[int]:
-        return [size for size, _ in self.points]
-
-    @property
-    def values(self) -> list[float]:
-        return [value for _, value in self.points]
 
 
 # Chunk length of the prefix sums behind a square column: each chunk is a
@@ -113,7 +82,7 @@ def _square_column(n: int, size: int) -> np.ndarray:
             / (math.pi**2 * (n * n - r * r))
         )
     del d, r  # before the diagonal's row of A is built
-    column[n - 1] = math.fsum(momentum_row(n, size) ** 2)
+    column[n - 1] = _fsum(momentum_row(n, size) ** 2)
     return column
 
 
@@ -148,21 +117,7 @@ def triple_product_sum(m: int, n: int, size: int) -> float:
     if (m + n) % 2 == 0:
         return -0.0
     column = _square_column(n, size)
-    return math.fsum(momentum_row(m, size) * column)
-
-
-def sweep_triple_product(m: int, n: int, sizes: list[int]) -> ConvergenceSeries:
-    """Triple product at each truncation size, with its observed limit.
-
-    Each point is a fresh evaluation of :func:`triple_product_sum`; the
-    target is the Hermitian-part entry the sequence converges to.
-    """
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly ascending")
-    points = tuple((int(size), triple_product_sum(m, n, size)) for size in sizes)
-    return ConvergenceSeries(m=m, n=n, points=points, target=p3_hermitian_entry(m, n))
+    return _fsum(momentum_row(m, size) * column)
 
 
 def p2_partial_sum(m: int, n: int, size: int) -> float:
@@ -176,7 +131,7 @@ def p2_partial_sum(m: int, n: int, size: int) -> float:
     size = _check_index(size, "size")
     # a_sn = -a_ns, so -a_ms a_sn = a_ms a_ns.
     terms = momentum_row(m, size) * momentum_row(n, size)
-    return math.fsum(terms.tolist())
+    return _fsum(terms)
 
 
 def associativity_gap(m: int, n: int) -> tuple[float, float]:
@@ -211,7 +166,7 @@ def pp2p_partial_sum(m: int, n: int, s_max: int) -> float:
         return 0.0
     terms = s**4 / ((m * m - s**2) * (s**2 - n * n))
     prefactor = -16.0 * m * n / math.pi**2
-    return prefactor * math.fsum(terms.tolist())
+    return prefactor * _fsum(terms)
 
 
 def quad_power_entry(m: int, n: int, size: int) -> float:
@@ -233,4 +188,4 @@ def quad_power_entry(m: int, n: int, size: int) -> float:
         return 0.0
     column_m = _square_column(m, size)
     column_n = column_m if m == n else _square_column(n, size)
-    return math.fsum(column_m * column_n)
+    return _fsum(column_m * column_n)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operator import Convention, TruncatedMatrix, _check_index, _square_array
+from .operator import TruncatedMatrix, _check_index, _square_array
 
 __all__ = [
     "SpectrumReport",
@@ -36,9 +36,6 @@ __all__ = [
     "squared_momentum",
     "spectrum_pairing",
     "near_integer_check",
-    "parity_permutation",
-    "parity_reorder",
-    "parity_blocks",
     "truncate_after_squaring",
     "repair_convergence",
     "dense_bytes",
@@ -46,6 +43,8 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
+# Relative gap below which adjacent eigenvalues share a degeneracy group.
+_GROUPING_TOL = 1e-6
 # Unit roundoff u of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0**-53
 # Peak float64 arrays of ceil(N/2)^2 entries live during one block SVD: W,
@@ -125,9 +124,7 @@ def _degeneracy_groups(values: np.ndarray, tol: float) -> tuple[tuple[float, int
     return tuple(groups)
 
 
-def eigen_symmetric(
-    matrix: TruncatedMatrix | np.ndarray, *, grouping_tol: float = 1e-6
-) -> SpectrumReport:
+def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
     Backed by LAPACK's symmetric solver (numpy.linalg.eigh); the contract is
@@ -151,7 +148,7 @@ def eigen_symmetric(
     return SpectrumReport(
         order=mat.shape[0],
         eigenvalues=values,
-        degeneracy_groups=_degeneracy_groups(values, grouping_tol),
+        degeneracy_groups=_degeneracy_groups(values, _GROUPING_TOL),
     )
 
 
@@ -252,9 +249,7 @@ def dense_bytes(sizes: list[int]) -> int:
 def squared_momentum(size: int) -> TruncatedMatrix:
     """Square of the size-truncated momentum matrix (plain, symmetric, PSD)."""
     size = _check_index(size, "size")
-    return TruncatedMatrix(
-        order=size, entries=_square_array(size), convention=Convention.PLAIN
-    )
+    return TruncatedMatrix(order=size, entries=_square_array(size))
 
 
 def _certificate_shift(order: int, frobenius_sq: float) -> float:
@@ -368,36 +363,6 @@ def near_integer_check(size: int) -> list[NearInteger]:
     return records
 
 
-def parity_permutation(order: int) -> np.ndarray:
-    """0-based permutation listing odd basis labels first, then even."""
-    order = _check_index(order, "order")
-    return np.concatenate([np.arange(0, order, 2), np.arange(1, order, 2)])
-
-
-def parity_reorder(matrix: TruncatedMatrix) -> TruncatedMatrix:
-    """Similarity transform by the odd-labels-first permutation.
-
-    For the square of a truncation the result is exactly block diagonal:
-    entries coupling opposite parities vanish identically.
-    """
-    perm = parity_permutation(matrix.order)
-    return TruncatedMatrix(
-        order=matrix.order,
-        entries=matrix.entries[np.ix_(perm, perm)],
-        convention=matrix.convention,
-    )
-
-
-def parity_blocks(matrix: TruncatedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The (odd-labels, even-labels) diagonal blocks of a matrix."""
-    odd = np.arange(0, matrix.order, 2)
-    even = np.arange(1, matrix.order, 2)
-    return (
-        matrix.entries[np.ix_(odd, odd)],
-        matrix.entries[np.ix_(even, even)],
-    )
-
-
 def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMatrix:
     """Square the truncation first, then delete trailing rows and columns.
 
@@ -409,11 +374,7 @@ def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMat
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)
-    return TruncatedMatrix(
-        order=keep,
-        entries=_square_array(build_order)[:keep, :keep],
-        convention=Convention.PLAIN,
-    )
+    return TruncatedMatrix(order=keep, entries=_square_array(build_order)[:keep, :keep])
 
 
 def repair_convergence(

@@ -9,12 +9,11 @@ product converge at all, and the functions here let it be measured.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import _check_index
+from .operator import _check_index, _fsum
 
 __all__ = [
     "boundary_contribution",
@@ -57,14 +56,14 @@ def boundary_contribution(m: int, n: int, size: int) -> float:
     first = (
         big**2
         / (m * m - big**2)
-        * math.fsum((s**2 / ((big**2 - s**2) * (s**2 - n * n))).tolist())
+        * _fsum(s**2 / ((big**2 - s**2) * (s**2 - n * n)))
     )
     edge = big - 1.0
     r = np.arange(2.0, big - 1.0, 2.0)
     second = (
         edge**2
         / (edge**2 - n * n)
-        * math.fsum((r**2 / ((m * m - r**2) * (r**2 - edge**2))).tolist())
+        * _fsum(r**2 / ((m * m - r**2) * (r**2 - edge**2)))
     )
     return first + second
 
@@ -91,13 +90,9 @@ def tail_approximation_parts(size: int, k_max: int) -> tuple[float, float]:
     if k_max > size // 10:
         raise ValueError(f"k_max must be <= size // 10 = {size // 10}, got {k_max}")
     k_col = np.arange(0.0, k_max)
-    column = -math.fsum(
-        (1.0 / ((2.0 * k_col + 1.0) * (2.0 * size - 2.0 * k_col - 1.0))).tolist()
-    )
+    column = -_fsum(1.0 / ((2.0 * k_col + 1.0) * (2.0 * size - 2.0 * k_col - 1.0)))
     k_row = np.arange(1.0, k_max + 1.0)
-    row = math.fsum(
-        (1.0 / ((2.0 * k_row - 1.0) * (2.0 * size - 2.0 * k_row - 1.0))).tolist()
-    )
+    row = _fsum(1.0 / ((2.0 * k_row - 1.0) * (2.0 * size - 2.0 * k_row - 1.0)))
     return column, row
 
 
@@ -119,7 +114,7 @@ def telescoping_sum(k_max: int) -> float:
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     k = np.arange(0.0, float(k_max) + 1.0)
-    return math.fsum((1.0 / (4.0 * k**2 - 1.0)).tolist())
+    return _fsum(1.0 / (4.0 * k**2 - 1.0))
 
 
 def telescoping_closed_form(k_max: int) -> float:
@@ -141,15 +136,14 @@ class TailEstimate:
     telescoped: float
 
 
-def tail_estimate(m: int, n: int, size: int, k_max: int | None = None) -> TailEstimate:
+def tail_estimate(m: int, n: int, size: int) -> TailEstimate:
     """Exact boundary contribution alongside both approximation stages.
 
     ``near_boundary`` drops the m^2, n^2 terms (:func:`tail_approximation`),
     ``telescoped`` additionally freezes the slowly varying denominator:
-    (1/2 + telescoping_sum(k_max)) / size.  Default k_max is size // 10.
+    (1/2 + telescoping_sum(k_max)) / size.  Both take k_max = size // 10.
     """
-    if k_max is None:
-        k_max = size // 10
+    k_max = size // 10
     return TailEstimate(
         m=m,
         n=n,

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from momtrunc import operator
 from momtrunc.operator import (
-    Convention,
     TruncatedMatrix,
     momentum_array,
     momentum_entry,
-    momentum_matrix,
     momentum_row,
     p2_exact_entry,
     p3_hermitian_entry,
@@ -101,6 +99,25 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             quadrature_entry(1, 2, 4)
 
+    def test_refuses_labels_above_2048(self):
+        quadrature_entry(2048, 2047, 3)
+        for m, n in [(2049, 1), (1, 2049), (4096, 4095)]:
+            with pytest.raises(ValueError):
+                quadrature_entry(m, n, 1)
+
+    @pytest.mark.parametrize(
+        "m, n", [(2048, 2047), (2047, 2046), (2048, 2048), (2045, 2048), (1, 2048)]
+    )
+    def test_scaled_bound_near_largest_label(self, m, n):
+        # each part's error is within 2.5e-13 max(m, n)^k up to label 2048
+        exact = {1: momentum_entry, 2: p2_exact_entry, 3: p3_naive_entry}
+        for k in (1, 2, 3):
+            real, ifac = quadrature_entry(m, n, k)
+            value, other = (real, ifac) if k == 2 else (ifac, real)
+            bound = 2.5e-13 * max(m, n) ** k
+            assert abs(value - exact[k](m, n)) <= bound
+            assert abs(other) <= bound
+
 
 class TestPowerEntries:
     def test_exact_square(self):
@@ -137,16 +154,13 @@ class TestPowerEntries:
 
 class TestMatrixBuilders:
     def test_order_one_is_zero(self):
-        mat = momentum_matrix(1)
-        assert mat.order == 1
-        assert mat.convention is Convention.I_FACTORED
-        assert mat.entries[0, 0] == 0.0
+        assert momentum_array(1).tolist() == [[0.0]]
 
     def test_order_two(self):
-        mat = momentum_matrix(2)
-        assert mat.entries[0, 1] == pytest.approx(A12, rel=1e-14)
-        assert mat.entries[1, 0] == -mat.entries[0, 1]
-        assert mat.entries[0, 0] == 0.0 and mat.entries[1, 1] == 0.0
+        a = momentum_array(2)
+        assert a[0, 1] == pytest.approx(A12, rel=1e-14)
+        assert a[1, 0] == -a[0, 1]
+        assert a[0, 0] == 0.0 and a[1, 1] == 0.0
 
     def test_exact_antisymmetry(self):
         a = momentum_array(50)
@@ -170,9 +184,9 @@ class TestMatrixBuilders:
 
     def test_truncated_matrix_validates_shape(self):
         with pytest.raises(ValueError):
-            TruncatedMatrix(order=3, entries=np.zeros((2, 2)), convention=Convention.PLAIN)
+            TruncatedMatrix(order=3, entries=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            TruncatedMatrix(order=0, entries=np.zeros((0, 0)), convention=Convention.PLAIN)
+            TruncatedMatrix(order=0, entries=np.zeros((0, 0)))
 
     def test_square_is_parity_decoupled_exactly(self):
         square = operator._square_array(7)

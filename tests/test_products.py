@@ -11,15 +11,14 @@ from momtrunc.operator import (
     _square_array,
     momentum_array,
     momentum_entry,
+    momentum_row,
     p3_hermitian_entry,
 )
 from momtrunc.products import (
-    ConvergenceSeries,
     associativity_gap,
     p2_partial_sum,
     pp2p_partial_sum,
     quad_power_entry,
-    sweep_triple_product,
     triple_product_sum,
 )
 from momtrunc.tails import boundary_contribution
@@ -76,8 +75,8 @@ class TestTripleProduct:
             (2, 3, [99, 100]),
             (20, 31, [999, 1000]),
         ]:
-            series = sweep_triple_product(m, n, sizes)
-            errors = [value - series.target for value in series.values]
+            target = p3_hermitian_entry(m, n)
+            errors = [triple_product_sum(m, n, size) - target for size in sizes]
             for err_odd, err_even in zip(errors[::2], errors[1::2]):
                 assert err_odd * err_even < 0
 
@@ -92,16 +91,15 @@ class TestTripleProduct:
 
 class TestSweep:
     def test_matches_fresh_evaluations(self):
-        series = sweep_triple_product(1, 2, [50, 99, 100])
-        for size, value in series.points:
-            fresh = triple_product_sum(1, 2, size)
-            assert value == pytest.approx(fresh, rel=1e-12)
-        assert series.target == p3_hermitian_entry(1, 2)
+        # each size is evaluated afresh: the sweep order does not matter
+        sizes = [50, 99, 100]
+        ascending = [triple_product_sum(1, 2, size) for size in sizes]
+        descending = [triple_product_sum(1, 2, size) for size in reversed(sizes)]
+        assert ascending == descending[::-1]
 
     def test_printed_pair(self):
-        series = sweep_triple_product(1, 2, [99, 100])
-        assert series.values[0] == pytest.approx(2.156, abs=5e-4)
-        assert series.values[1] == pytest.approx(2.088, abs=5e-4)
+        assert triple_product_sum(1, 2, 99) == pytest.approx(2.156, abs=5e-4)
+        assert triple_product_sum(1, 2, 100) == pytest.approx(2.088, abs=5e-4)
 
     @pytest.mark.parametrize("m,n", [(1, 2), (3, 4), (7, 12)])
     def test_steps_equal_boundary_contribution(self, m, n):
@@ -113,17 +111,7 @@ class TestSweep:
             assert abs(step - boundary) <= 1e-12 * abs(value)
 
     def test_diagonal_sweep_is_zero(self):
-        assert sweep_triple_product(1, 1, [50]).values == [0.0]
-
-    def test_validates_sizes(self):
-        with pytest.raises(ValueError):
-            sweep_triple_product(1, 2, [])
-        with pytest.raises(ValueError):
-            sweep_triple_product(1, 2, [100, 50])
-
-    def test_series_type_validates_points(self):
-        with pytest.raises(ValueError):
-            ConvergenceSeries(m=1, n=2, points=((10, 0.5), (10, 0.6)))
+        assert [triple_product_sum(1, 1, size) for size in (50, 51, 99)] == [0.0] * 3
 
 
 class TestSquarePartialSums:
@@ -138,6 +126,13 @@ class TestSquarePartialSums:
 
     def test_opposite_parity_vanishes_exactly(self):
         assert p2_partial_sum(1, 2, 1000) == 0.0
+
+    def test_chunked_sum_is_bit_identical(self):
+        # the terms span several of _fsum's chunks; fsum is exactly rounded,
+        # so summing chunk by chunk cannot change a bit
+        size = 300_001
+        terms = momentum_row(1, size) * momentum_row(3, size)
+        assert p2_partial_sum(1, 3, size).hex() == math.fsum(terms.tolist()).hex()
 
     def test_monotone_from_below_on_diagonal(self):
         values = [p2_partial_sum(2, 2, size) for size in range(1, 11)]

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from momtrunc import cli, spectra
 from momtrunc.cli import main
-from momtrunc.operator import Convention, momentum_array
+from momtrunc.operator import momentum_array
 from momtrunc.spectra import (
     eigen_symmetric,
     near_integer_check,
-    parity_blocks,
-    parity_permutation,
-    parity_reorder,
     repair_convergence,
     singular_spectrum,
     spectrum_pairing,
@@ -56,7 +53,6 @@ class TestEigenSymmetric:
 class TestSquaredMomentum:
     def test_order_two_matches_hand_computation(self):
         square = squared_momentum(2)
-        assert square.convention is Convention.PLAIN
         assert square.entries[0, 0] == pytest.approx(A12_SQ, rel=1e-14)
         assert square.entries[1, 1] == pytest.approx(A12_SQ, rel=1e-14)
         assert square.entries[0, 1] == 0.0 and square.entries[1, 0] == 0.0
@@ -73,28 +69,33 @@ class TestSquaredMomentum:
         assert np.allclose(squared_momentum(40).entries, direct, rtol=1e-12, atol=1e-12)
 
 
-class TestParityStructure:
-    def test_permutation_lists_odd_labels_first(self):
-        assert parity_permutation(6).tolist() == [0, 2, 4, 1, 3, 5]
+def parity_blocks(entries):
+    """The (odd-labels, even-labels) diagonal blocks of a square array."""
+    odd, even = np.arange(0, len(entries), 2), np.arange(1, len(entries), 2)
+    return entries[np.ix_(odd, odd)], entries[np.ix_(even, even)]
 
+
+class TestParityStructure:
     def test_reordered_square_is_block_diagonal_exactly(self):
-        reordered = parity_reorder(squared_momentum(12)).entries
+        odd_first = np.r_[0:12:2, 1:12:2]
+        reordered = squared_momentum(12).entries[np.ix_(odd_first, odd_first)]
         assert np.array_equal(reordered[:6, 6:], np.zeros((6, 6)))
         assert np.array_equal(reordered[6:, :6], np.zeros((6, 6)))
 
     def test_reordering_preserves_spectrum(self):
-        square = squared_momentum(12)
+        square = squared_momentum(12).entries
+        odd_first = np.r_[0:12:2, 1:12:2]
         before = eigen_symmetric(square).eigenvalues
-        after = eigen_symmetric(parity_reorder(square)).eigenvalues
+        after = eigen_symmetric(square[np.ix_(odd_first, odd_first)]).eigenvalues
         assert np.allclose(before, after, rtol=1e-10)
 
     def test_block_sizes(self):
-        odd, even = parity_blocks(squared_momentum(9))
+        odd, even = parity_blocks(squared_momentum(9).entries)
         assert odd.shape == (5, 5)
         assert even.shape == (4, 4)
 
     def test_union_of_block_spectra_is_full_spectrum(self):
-        square = squared_momentum(12)
+        square = squared_momentum(12).entries
         odd, even = parity_blocks(square)
         merged = np.sort(
             np.concatenate([np.linalg.eigvalsh(odd), np.linalg.eigvalsh(even)])
@@ -103,7 +104,7 @@ class TestParityStructure:
         assert np.allclose(merged, full, rtol=1e-8, atol=1e-12)
 
     def test_even_order_blocks_share_eigenvalues(self):
-        odd, even = parity_blocks(squared_momentum(12))
+        odd, even = parity_blocks(squared_momentum(12).entries)
         assert np.allclose(
             np.linalg.eigvalsh(odd), np.linalg.eigvalsh(even), rtol=1e-8, atol=1e-12
         )

@@ -121,7 +121,3 @@ class TestTailEstimate:
             math.isfinite(v)
             for v in (estimate.exact, estimate.near_boundary, estimate.telescoped)
         )
-
-    def test_explicit_window(self):
-        estimate = tail_estimate(3, 4, 400, k_max=20)
-        assert estimate.near_boundary == tail_approximation(400, 20)
