@@ -408,7 +408,6 @@ EXPERIMENTS = {
         "opposite-pair structure of the truncation's spectrum",
         _run_spectrum_pairs,
         sizes=(999, 1000),
-        estimate_bytes=spectra.dense_bytes,
     ),
 }
 

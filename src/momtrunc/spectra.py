@@ -12,9 +12,9 @@ and its even block ``W^T W``.  Every spectrum reported here is therefore a
 union of squared singular values of leading blocks of ``W``
 (:func:`singular_spectrum`); the dense eigensolve (:func:`eigen_symmetric`
 on :func:`squared_momentum`) is kept as the independent reference.  The
-opposite pairs and the zero mode at odd order are structural too, up to
-W having full rank; :func:`spectrum_pairing` proves that with a shifted
-Cholesky factorization of ``W^T W`` instead of an SVD.
+opposite pairs and the zero mode at odd order are structural too, and W
+has full rank by Cauchy's determinant formula, so :func:`spectrum_pairing`
+computes nothing.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ _SYMMETRY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 # Relative gap below which adjacent eigenvalues share a degeneracy group.
 _GROUPING_TOL = 1e-6
-# Unit roundoff u of IEEE double precision.
-_UNIT_ROUNDOFF = 2.0**-53
 # Peak float64 arrays of ceil(N/2)^2 entries live during one block SVD: W,
 # LAPACK's copy and workspace, the singular vectors and the residual
 # temporaries (measured: about 9 at N = 2000..4000, above the interpreter's
@@ -75,8 +73,8 @@ class PairingReport:
 
     ``pair_count`` opposite pairs +/-sigma and ``zero_modes`` zero
     eigenvalues; ``ok`` when no violation was recorded.  From
-    :func:`spectrum_pairing` the counts are structural and a violation means
-    W was not certified full rank; the sigma themselves come from
+    :func:`spectrum_pairing` the counts are proven, so there is no violation
+    and ``max_pair_gap`` is 0.0; the sigma themselves come from
     :func:`near_integer_check`.
     """
 
@@ -198,7 +196,11 @@ def _block_squares(p: int, q: int) -> np.ndarray:
 
 
 def _check_deleted_tail(build_order: int, deleted_tail: int) -> int:
-    if not isinstance(deleted_tail, (int, np.integer)) or deleted_tail < 0:
+    if (
+        not isinstance(deleted_tail, (int, np.integer))
+        or isinstance(deleted_tail, bool)
+        or deleted_tail < 0
+    ):
         raise ValueError(f"deleted_tail must be a nonnegative integer, got {deleted_tail!r}")
     if deleted_tail >= build_order:
         raise ValueError(
@@ -238,9 +240,8 @@ def dense_bytes(sizes: list[int]) -> int:
 
     One order is solved at a time and only O(N) values are cached, so the
     estimate is that of the largest order: ``_BLOCK_ARRAYS`` float64 arrays
-    of ceil(N/2)^2 entries for the SVD of W and its residual check (the
-    rank certificate of :func:`spectrum_pairing` holds fewer).  Computed
-    from the orders alone, before anything is allocated.
+    of ceil(N/2)^2 entries for the SVD of W and its residual check.
+    Computed from the orders alone, before anything is allocated.
     """
     half = (max(sizes, default=0) + 1) // 2
     return _BLOCK_ARRAYS * 8 * half * half
@@ -252,79 +253,34 @@ def squared_momentum(size: int) -> TruncatedMatrix:
     return TruncatedMatrix(order=size, entries=_square_array(size))
 
 
-def _certificate_shift(order: int, frobenius_sq: float) -> float:
-    """Shift tau of the full-rank certificate for W at this truncation order.
-
-    tau = (1 + 2^-10) gamma_{N+2} ||W||_F^2, with gamma_k = k u / (1 - k u)
-    and u the unit roundoff; see :func:`_full_rank_certified`.
-    """
-    k_u = (order + 2) * _UNIT_ROUNDOFF
-    return (1.0 + 2.0**-10) * k_u / (1.0 - k_u) * frobenius_sq
-
-
-def _full_rank_certified(p: int, q: int) -> bool:
-    """Whether W(p, q), p >= q, provably has full column rank q.
-
-    Forms G = W^T W and f = ||W||_F^2 and attempts the Cholesky
-    factorization G - tau I = R^T R, tau from :func:`_certificate_shift`
-    at N = p + q.  If it completes, W^T W - tau I differs from the positive
-    definite R^T R by at most the three rounding terms, each bounded in the
-    2-norm by a multiple of f:
-
-    * the product W^T W: gamma_p f, since |fl(W^T W) - W^T W| <= gamma_p
-      |W|^T |W| and || |W|^T |W| ||_2 <= f;
-    * subtracting tau on the diagonal: u f;
-    * the factorization: gamma_{q+1} ||R||_F^2 (Higham, Accuracy and
-      Stability of Numerical Algorithms, 2nd ed., Thm 10.3), with
-      ||R||_F^2 = trace(R^T R) = f to within a relative (N + 2) u.
-
-    gamma_p + u + gamma_{q+1} <= gamma_{N+2}, and the factor 1 + 2^-10
-    absorbs ||R||_F^2 != f and the rounding of f and tau themselves, so
-    sigma_min(W)^2 > 2^-12 tau > 0: W has full rank.  The margin dwarfs the
-    entrywise rounding of W's own entries.  A failed factorization proves
-    nothing either way; it is reported as a failed certificate.  tau grows
-    like N^4 u, and at the largest accepted order (N = 13376) it is about
-    0.6 against sigma_min^2 ~ 1.
-    """
-    if q == 0:
-        return True
-    w = _w_block(p, q)
-    gram = w.T @ w
-    tau = _certificate_shift(p + q, float(np.einsum("ij,ij->", w, w)))
-    del w  # before the factorization allocates its output
-    gram[np.diag_indices(q)] -= tau
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def spectrum_pairing(size: int) -> PairingReport:
-    """Opposite-pair check for the truncated matrix's eigenvalues.
+    """Opposite-pair structure of the truncated matrix's eigenvalues.
 
     In parity order the truncation is [[0, W], [-W^T, 0]] with
     W = W(ceil(N/2), floor(N/2)), so its real eigenvalues are +/-sigma for
     the singular values sigma of W plus ceil(N/2) - floor(N/2) structural
     zeros: the pairs, and the doublets of the square, are structural and
-    ``max_pair_gap`` is 0.0.  What is left to check is that no sigma is
-    zero, i.e. that W has full column rank.  That is proved by a shifted
-    Cholesky factorization of W^T W (see :func:`_full_rank_certified`), not
-    by an SVD.  When it holds there are ``pair_count`` = floor(N/2) pairs
-    and ``zero_modes`` = N mod 2, the one nondegenerate zero mode at odd
-    order.  Otherwise the report carries a violation (not raised) and the
-    counts are the structural ones.
+    ``max_pair_gap`` is 0.0.  No sigma is zero either, because W has full
+    column rank at every order.  Its entries are
+    -4 m n / (pi (m^2 - n^2)) for odd m = 2i - 1 and even n = 2j, so
+    W = -(4/pi) D_m C D_n with positive diagonal D_m, D_n and the Cauchy
+    matrix C_ij = 1/(x_i - y_j), x_i = m^2, y_j = n^2.  By Cauchy's formula
+    the leading q x q block of C has determinant
+
+        prod_{i<j} (x_j - x_i)(y_i - y_j) / prod_{i,j} (x_i - y_j),
+
+    which is nonzero: the x are distinct, the y are distinct, and every
+    x_i - y_j is odd.  So every square leading block of W is nonsingular.
+    The report therefore has ``pair_count`` = floor(N/2) pairs,
+    ``zero_modes`` = N mod 2 (the one nondegenerate zero mode at odd
+    order) and no violations, with no matrix built or factored.
     """
     size = _check_index(size, "size")
-    p, q = (size + 1) // 2, size // 2
-    violations = []
-    if not _full_rank_certified(p, q):
-        violations.append(f"W({p}, {q}) not certified full rank")
     return PairingReport(
         order=size,
-        pair_count=q,
-        zero_modes=p - q,
-        violations=tuple(violations),
+        pair_count=size // 2,
+        zero_modes=size % 2,
+        violations=(),
         max_pair_gap=0.0,
     )
 

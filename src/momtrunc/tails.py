@@ -3,8 +3,8 @@
 The last column and last row of the cutoff window contribute two sums to the
 triple product whose terms are individually of order 1/size; the sums grow
 logarithmically on their own but cancel jointly, leaving a contribution of
-order 1/size^2.  That cancellation is what lets the square-cutoff triple
-product converge at all, and the functions here let it be measured.
+order log(size)/size^2.  That cancellation is what lets the square-cutoff
+triple product converge at all, and the functions here let it be measured.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ def boundary_contribution(m: int, n: int, size: int) -> float:
       + (size-1)^2/((size-1)^2 - n^2) * sum_{r even, 2..size-2} r^2/((m^2 - r^2)(r^2 - (size-1)^2))
 
     The second sum stops at r = size - 2 so the corner element is not
-    counted twice.  Scales as O(size^-2).  Requires size >= 10 (m + n) so
-    the asymptotic regime applies.
+    counted twice.  Scales as O(log(size) / size^2): size^2 times it tends
+    to (log(4 size) + gamma - 1)/4, gamma being Euler's constant.  Requires
+    size >= 10 (m + n) so the asymptotic regime applies.
     """
     m = _check_index(m, "m")
     n = _check_index(n, "n")
@@ -102,6 +103,14 @@ def tail_approximation(size: int, k_max: int) -> float:
     return column + row
 
 
+def _check_k_max(k_max: int) -> int:
+    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool):
+        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    return int(k_max)
+
+
 def telescoping_sum(k_max: int) -> float:
     """Partial sum sum_{k=0}^{k_max} 1/(4 k^2 - 1).
 
@@ -109,18 +118,14 @@ def telescoping_sum(k_max: int) -> float:
     1/2 + telescoping_sum(k_max) therefore vanishes at exactly that rate,
     which is what makes the scaled near-boundary combination vanish.
     """
-    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool):
-        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = _check_k_max(k_max)
     k = np.arange(0.0, float(k_max) + 1.0)
     return _fsum(1.0 / (4.0 * k**2 - 1.0))
 
 
 def telescoping_closed_form(k_max: int) -> float:
     """Closed form of :func:`telescoping_sum`."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = _check_k_max(k_max)
     return -0.5 - 0.5 / (2.0 * k_max + 1.0)
 
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,9 +153,10 @@ class TestOtherCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("decomposition called")
 
-        for name in ("svd", "eigh", "eigvalsh"):
+        for name in ("svd", "eigh", "eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        monkeypatch.setattr(spectra, "_block_svd", refuse)
+        for name in ("_block_svd", "_w_block"):
+            monkeypatch.setattr(spectra, name, refuse)
         assert run_cli(["spectrum-pairs", "--out", os.devnull]) == 0
 
     def test_spectrum_pairs_report(self, tmp_path):
@@ -237,7 +241,13 @@ class TestDenseSizeGuard:
 
     @pytest.mark.parametrize(
         "command, pairs",
-        [("table1", "1,2"), ("diverge", "1,1"), ("p2check", "1,1"), ("tails", "1,2")],
+        [
+            ("table1", "1,2"),
+            ("diverge", "1,1"),
+            ("p2check", "1,1"),
+            ("tails", "1,2"),
+            ("spectrum-pairs", None),
+        ],
     )
     def test_oversized_linear_request_exits_before_allocating(
         self, command, pairs, monkeypatch, capsys
@@ -247,12 +257,15 @@ class TestDenseSizeGuard:
 
         monkeypatch.setattr(np, "zeros", refuse)
         monkeypatch.setattr(np, "arange", refuse)
-        assert run_cli([command, "--pairs", pairs, "--sizes", "1000000000000"]) == 2
+        args = [command, "--sizes", "1000000000000"]
+        if pairs is not None:
+            args += ["--pairs", pairs]
+        assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("momtrunc: error:") and err.count("\n") == 1
         assert "accepted up to N = 67108864" in err
 
-    @pytest.mark.parametrize("command", ["table2", "spectrum-pairs"])
+    @pytest.mark.parametrize("command", ["table2"])
     def test_oversized_request_exits_before_allocating(self, command, monkeypatch, capsys):
         def refuse(*shape):
             raise AssertionError(f"allocated an array of shape {shape}")
@@ -261,6 +274,10 @@ class TestDenseSizeGuard:
         monkeypatch.setattr(spectra, "_w_block", refuse)
         assert run_cli([command, "--sizes", "13377"]) == 2
         assert "accepted up to N = 13376" in capsys.readouterr().err
+
+    def test_spectrum_pairs_is_accepted_beyond_the_spectra_limit(self, capsys):
+        assert run_cli(["spectrum-pairs", "--sizes", "13377"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "13377,6688,1,0.000e+00,true"
 
 
 COMMANDS = ["table1", "table2", "p2check", "assoc", "diverge", "tails", "spectrum-pairs"]
@@ -351,3 +368,23 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert run_cli(["table2", "--config", str(path), "--sizes", "9,10"]) == 2
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    # Modules the interpreter's site setup preloads are left out by taking
+    # the difference with what was loaded before the import.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import momtrunc.cli\n"
+        "for name in sorted(set(sys.modules) - before):\n"
+        "    print(name.partition('.')[0])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert {"momtrunc", "numpy"} <= loaded
+    assert loaded - sys.stdlib_module_names <= {"momtrunc", "numpy"}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momtrunc import cli, spectra
-from momtrunc.cli import main
+from momtrunc import spectra
 from momtrunc.operator import momentum_array
 from momtrunc.spectra import (
     eigen_symmetric,
@@ -132,48 +132,74 @@ class TestSpectrumPairing:
         assert report.pair_count == 5
         assert report.max_pair_gap <= 1e-10
 
-    def test_certificate_agrees_with_svd(self):
+    def test_large_orders_take_the_structural_counts(self):
+        report = spectrum_pairing(10**12 + 1)
+        assert (report.pair_count, report.zero_modes) == (5 * 10**11, 1)
+        assert report.ok and report.max_pair_gap == 0.0
+
+
+def cauchy_determinant(q):
+    """det C for the leading q x q block of C_ij = 1/(x_i - y_j), two ways.
+
+    x_i = (2i - 1)^2 and y_j = (2j)^2, so that
+    W = -(4/pi) diag(2i - 1) C diag(2j).  Returns the exact determinant from
+    Gaussian elimination in rational arithmetic and Cauchy's product formula.
+    """
+    x = [Fraction((2 * i - 1) ** 2) for i in range(1, q + 1)]
+    y = [Fraction((2 * j) ** 2) for j in range(1, q + 1)]
+    rows = [[1 / (xi - yj) for yj in y] for xi in x]
+    eliminated = Fraction(1)
+    for k in range(q):
+        pivot = next(i for i in range(k, q) if rows[i][k] != 0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            eliminated = -eliminated
+        eliminated *= rows[k][k]
+        for i in range(k + 1, q):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    formula = Fraction(1)
+    for i in range(q):
+        for j in range(i + 1, q):
+            formula *= (x[j] - x[i]) * (y[i] - y[j])
+        for j in range(q):
+            formula /= x[i] - y[j]
+    return eliminated, formula
+
+
+class TestFullRankWitnesses:
+    """Numerical witnesses of the Cauchy-determinant proof that W has full rank."""
+
+    def test_w_is_a_scaled_cauchy_matrix(self):
+        m, n = np.arange(1.0, 14.0, 2.0), np.arange(2.0, 13.0, 2.0)
+        cauchy = 1.0 / (m[:, None] ** 2 - n[None, :] ** 2)
+        scaled = -4.0 / math.pi * m[:, None] * cauchy * n[None, :]
+        assert np.allclose(spectra._w_block(7, 6), scaled, rtol=1e-15, atol=0.0)
+
+    def test_exact_determinant_is_cauchys_product(self):
+        for q in range(1, 13):  # orders N <= 24
+            eliminated, formula = cauchy_determinant(q)
+            assert eliminated == formula != 0, q
+
+    def test_singular_values_are_nonzero(self):
         for order in range(1, 61):
-            p, q = (order + 1) // 2, order // 2
-            w = spectra._w_block(p, q)
+            w = spectra._w_block((order + 1) // 2, order // 2)
             sigma = np.linalg.svd(w, compute_uv=False)
-            tau = spectra._certificate_shift(order, float(np.sum(w * w)))
-            assert sigma.min(initial=np.inf) ** 2 > tau, order
-            assert spectra._full_rank_certified(p, q), order
-            assert spectrum_pairing(order).ok
+            assert sigma.min(initial=np.inf) ** 2 > 0.0, order
 
-    def test_rank_deficient_block_is_a_violation(self, monkeypatch, tmp_path):
-        block = spectra._w_block
-
-        def rank_deficient(p, q):
-            w = block(p, q).copy()
-            w[:, -1] = w[:, 0]
-            return w
-
-        monkeypatch.setattr(spectra, "_w_block", rank_deficient)
-        report = spectrum_pairing(10)
-        assert not report.ok
-        assert report.violations == ("W(5, 5) not certified full rank",)
-        out = tmp_path / "pairs.csv"
-        assert main(["spectrum-pairs", "--sizes", "9,10", "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
-            "9,4,1,0.000e+00,false",
-            "10,5,0,0.000e+00,false",
-        ]
-
-    def test_certificate_holds_at_the_largest_accepted_order(self):
-        # tau grows like N^4 u against sigma_min^2 ~ 1 (0.9997 here), so a
-        # size limit raised much past N = 13376 needs a different proof.
-        order = 13376
-        assert spectra.dense_bytes([order + 1]) > cli._MAX_DENSE_BYTES
-        p, q = (order + 1) // 2, order // 2
-        n = np.arange(2.0, 2.0 * q + 1.0, 2.0)
-        frobenius_sq = 0.0
-        for start in range(1, 2 * p, 512):
-            m = np.arange(float(start), min(start + 512, 2 * p), 2.0)
-            w = -4.0 * np.outer(m, n) / (math.pi * (m[:, None] ** 2 - n[None, :] ** 2))
-            frobenius_sq += float(np.sum(w * w))
-        assert spectra._certificate_shift(order, frobenius_sq) < 0.9
+    @pytest.mark.parametrize("order", [1000, 2000, 4000])
+    def test_shifted_cholesky_of_the_scaled_gram_completes(self, order):
+        # H = D^-1 W^T W D^-1 has a unit diagonal and lambda_min(H) ~ 0.2/N
+        # (5e-5 at N = 4000).  Forming and factoring H rounds by at most
+        # about N q u ~ 1e-9 (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., Thm 10.3, with trace H = q), so a completed
+        # Cholesky of H - shift I shows lambda_min(H) > 0.
+        shift = 1e-7
+        w = spectra._w_block((order + 1) // 2, order // 2)
+        w /= np.linalg.norm(w, axis=0)
+        gram = w.T @ w
+        gram[np.diag_indices_from(gram)] -= shift
+        np.linalg.cholesky(gram)
 
 
 class TestNearInteger:
@@ -313,6 +339,12 @@ class TestSingularSpectrum:
             singular_spectrum(10, 10)
         with pytest.raises(ValueError):
             singular_spectrum(10, -1)
+
+    def test_rejects_boolean_deletion(self):
+        with pytest.raises(ValueError):
+            singular_spectrum(10, True)
+        with pytest.raises(ValueError):
+            truncate_after_squaring(10, True)
 
     def test_residual_is_checked_on_cached_blocks(self, monkeypatch):
         singular_spectrum(12)  # the block's values are now cached

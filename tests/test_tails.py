@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +46,13 @@ class TestTelescoping:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             telescoping_sum(-1)
+
+    @pytest.mark.parametrize("k_max", [True, 2.5, -1])
+    def test_closed_form_rejects_what_the_sum_rejects(self, k_max):
+        with pytest.raises(ValueError):
+            telescoping_sum(k_max)
+        with pytest.raises(ValueError):
+            telescoping_closed_form(k_max)
 
 
 class TestTailApproximation:
@@ -94,6 +102,13 @@ class TestBoundaryContribution:
                 m, n, size
             )
             assert 0.15 <= ratio <= 0.40
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (3, 4)])
+    def test_cancellation_leaves_log_over_size_squared(self, m, n):
+        for size in (10**4, 10**5, 10**6):
+            scaled = size**2 * boundary_contribution(m, n, size)
+            limit = (math.log(4 * size) + np.euler_gamma - 1.0) / 4.0
+            assert abs(scaled - limit) <= math.log(size) / size, size
 
     def test_near_boundary_approximation_tracks_exact(self):
         exact = boundary_contribution(1, 2, 1000)
