@@ -239,8 +239,11 @@ def _run_table2(cfg: ReportConfig) -> Report:
         raise UsageError(
             f"delete_tail {cfg.delete_tail} must be < largest size {largest}"
         )
+    # Factored first: the other columns' blocks are derived from its SVD.
+    complete = spectra.singular_spectrum(largest)
     spectra_by_column = [
-        (f"complete_{size}", spectra.singular_spectrum(size)) for size in cfg.sizes[:-1]
+        (f"complete_{size}", spectra.singular_spectrum(size, base_order=largest))
+        for size in cfg.sizes[:-1]
     ]
     if cfg.delete_tail > 0:
         spectra_by_column.append(
@@ -249,7 +252,7 @@ def _run_table2(cfg: ReportConfig) -> Report:
                 spectra.singular_spectrum(largest, cfg.delete_tail),
             )
         )
-    spectra_by_column.append((f"complete_{largest}", spectra.singular_spectrum(largest)))
+    spectra_by_column.append((f"complete_{largest}", complete))
 
     depth = max(len(vals) for _, vals in spectra_by_column)
     rows = [

@@ -112,6 +112,15 @@ def triple_product_sum(m: int, n: int, size: int) -> float:
     exactly rounded chunk offsets, and the r-sum is one exactly rounded
     ``math.fsum``, so its order does not matter.  For m + n even
     every product pairs labels of opposite parity and the result is -0.0.
+
+    For m + n odd the error alternates in sign with the size N:
+
+        T(N) - (m^2 + n^2)/2 a_mn
+            = (-1)^(N+m) (8 m n / pi^3) (ln 4N + gamma) / N + O(ln N / N^2),
+
+    with gamma Euler's constant; (ln 4N + gamma) / 2 is the asymptotic sum
+    of 1/k over odd k <= 2N, from the prefix sums of the square's column.
+    The tests pin it for N from 10^4 to 10^6 + 1.
     """
     m, n, size = _check_labels(m, n, size)
     if (m + n) % 2 == 0:
@@ -181,7 +190,11 @@ def quad_power_entry(m: int, n: int, size: int) -> float:
     Time and memory are O(size).  Unlike the exact fourth power, whose
     entries are m^2 n^2 on the diagonal and 0 elsewhere, this diverges as
     the truncation grows: the middle sum picks up contributions from s of
-    the order of the truncation size.  For m + n odd the entry is 0.0.
+    the order of the truncation size.  For m + n even the entry grows
+    linearly, entry / N -> 8 m n / (3 pi^2), with a gap that alternates in
+    sign with N and is O(ln^2 N / N), not O(ln N / N): N gap / ln N keeps
+    growing (pinned in the tests for N from 10^4 to 10^6 + 1).  For m + n
+    odd the entry is 0.0.
     """
     m, n, size = _check_labels(m, n, size)
     if (m + n) % 2 == 1:

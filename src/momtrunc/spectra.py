@@ -10,8 +10,11 @@ In parity order the truncation is ``A = [[0, W], [-W^T, 0]]`` with
 ``W = a[odd labels, even labels]``, so the square's odd block is ``W W^T``
 and its even block ``W^T W``.  Every spectrum reported here is therefore a
 union of squared singular values of leading blocks of ``W``
-(:func:`singular_spectrum`); the dense eigensolve (:func:`eigen_symmetric`
-on :func:`squared_momentum`) is kept as the independent reference.  The
+(:func:`singular_spectrum`): one residual-checked SVD of the largest block
+serves every block within two deleted trailing rows or columns of it, whose
+values are the roots of secular equations in that SVD's last rows (Cauchy
+interlacing).  The dense eigensolve (:func:`eigen_symmetric` on
+:func:`squared_momentum`) is kept as the independent reference.  The
 opposite pairs and the zero mode at odd order are structural too, and W
 has full rank by Cauchy's determinant formula, so :func:`spectrum_pairing`
 computes nothing.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +51,9 @@ _RESIDUAL_TOL = 1e-8
 _GROUPING_TOL = 1e-6
 # Peak float64 arrays of ceil(N/2)^2 entries live during one block SVD: W,
 # LAPACK's copy and workspace, the singular vectors and the residual
-# temporaries (measured: about 9 at N = 2000..4000, above the interpreter's
-# own ~30 MiB; 12 keeps a margin).
+# temporaries (measured for table2 with delete-tail 3: 9.2 at N = 2000 and
+# 9.0 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a margin).
+# Blocks derived from it add only _CHUNK x ceil(N/2) work arrays.
 _BLOCK_ARRAYS = 12
 
 
@@ -161,38 +166,243 @@ def _w_block(p: int, q: int) -> np.ndarray:
     return -4.0 * np.outer(m, n) / (math.pi * (m[:, None] ** 2 - n[None, :] ** 2))
 
 
+# Roots of a secular equation solved together, bounding the (roots x poles)
+# work arrays; and the cap on model steps per root (4 to 6 are typical).
+_CHUNK = 256
+_MAX_STEPS = 40
+# Trailing rows of U and V kept per factored block: derived blocks lie within
+# this many deleted rows or columns of it.
+_TAIL_ROWS = 2
+_EPS = float(np.finfo(float).eps)
+
+
+class _Factored(NamedTuple):
+    """What one residual-checked SVD of W(p, q) leaves behind, all O(p + q).
+
+    ``squares`` are the squared singular values, ascending, ``worst`` the
+    largest two-sided residual and ``scale`` sigma_max.  ``columns`` and
+    ``rows`` describe W^T W = V diag(poles) V^T and W W^T = U diag(poles) U^T
+    (zeros first, then ``squares``) as (poles, the last ``_TAIL_ROWS`` rows of
+    V or U with their columns in the same order).
+    """
+
+    squares: np.ndarray
+    worst: float
+    scale: float
+    columns: tuple[np.ndarray, np.ndarray]
+    rows: tuple[np.ndarray, np.ndarray]
+
+
 @lru_cache(maxsize=8)
-def _block_svd(p: int, q: int) -> tuple[np.ndarray, float, float]:
+def _block_svd(p: int, q: int) -> _Factored:
     """Squared singular values of W(p, q), ascending, with their residual.
 
-    Returns ``(squares, worst, scale)``: ``worst`` is the largest two-sided
-    residual max(||W v - sigma u||, ||W^T u - sigma v||) over the singular
-    triples and ``scale`` is sigma_max.  For the symmetric matrix
-    [[0, W], [W^T, 0]], whose eigenpairs are +/-sigma with eigenvectors
-    (u, +/-v)/sqrt(2), this is the eigen-residual against its norm.  Only
-    the O(p + q) result is cached; callers compare it with the tolerance.
+    ``worst`` is the largest two-sided residual max(||W v - sigma u||,
+    ||W^T u - sigma v||) over the singular triples and ``scale`` is
+    sigma_max.  For the symmetric matrix [[0, W], [W^T, 0]], whose eigenpairs
+    are +/-sigma with eigenvectors (u, +/-v)/sqrt(2), this is the
+    eigen-residual against its norm.  The SVD is taken with full U and V so
+    that the Gram matrices' null vectors are among the kept rows.  Only
+    O(p + q) values are cached; callers compare the residual with the
+    tolerance.
     """
     if min(p, q) == 0:
-        return np.zeros(0), 0.0, 1.0
+        empty = (np.zeros(0), np.zeros((0, 0)))
+        return _Factored(np.zeros(0), 0.0, 1.0, empty, empty)
     w = _w_block(p, q)
-    u, sigma, vt = np.linalg.svd(w, full_matrices=False)
-    v = vt.T
-    left = np.linalg.norm(w @ v - u * sigma, axis=0)
-    right = np.linalg.norm(w.T @ u - v * sigma, axis=0)
+    u, sigma, vt = np.linalg.svd(w)
+    k = sigma.size
+    v = vt[:k].T
+    left = np.linalg.norm(w @ v - u[:, :k] * sigma, axis=0)
+    right = np.linalg.norm(w.T @ u[:, :k] - v * sigma, axis=0)
     worst = float(max(left.max(), right.max()))
     squares = (sigma * sigma)[::-1].copy()
     squares.flags.writeable = False
-    return squares, worst, max(float(sigma[0]), 1e-300)
+    columns = (
+        np.concatenate([np.zeros(q - k), squares]),
+        vt[::-1, -_TAIL_ROWS:].T.copy(),
+    )
+    rows = (np.concatenate([np.zeros(p - k), squares]), u[-_TAIL_ROWS:, ::-1].copy())
+    return _Factored(squares, worst, max(float(sigma[0]), 1e-300), columns, rows)
 
 
-def _block_squares(p: int, q: int) -> np.ndarray:
-    """Verified squared singular values of W(p, q), ascending (read-only)."""
-    squares, worst, scale = _block_svd(p, q)
-    if worst > _RESIDUAL_TOL * scale:
+def _reaches(base: tuple[int, int], p: int, q: int) -> bool:
+    """Whether W(p, q) is W(base) less at most ``_TAIL_ROWS`` trailing rows or
+    columns, with at most one zero among the poles the deletion sees."""
+    big_p, big_q = base
+    return abs(big_p - big_q) <= 1 and (
+        (p == big_p and big_q - _TAIL_ROWS <= q <= big_q)
+        or (q == big_q and big_p - _TAIL_ROWS <= p <= big_p)
+    )
+
+
+def _block_squares(p: int, q: int, base: tuple[int, int]) -> np.ndarray:
+    """Verified squared singular values of W(p, q), ascending (read-only).
+
+    Derived from the SVD of W(base) when :func:`_reaches` says so, otherwise
+    taken from an SVD of W(p, q) itself; either way the factored block's
+    residual check must pass.
+    """
+    if not _reaches(base, p, q):
+        base = (p, q)
+    factored = _block_svd(*base)
+    if factored.worst > _RESIDUAL_TOL * factored.scale:
         raise ArithmeticError(
-            f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||M||"
+            f"eigensolve residual {factored.worst:.3e} exceeds "
+            f"{_RESIDUAL_TOL:.0e} * ||M||"
         )
-    return squares
+    if base == (p, q):
+        return factored.squares
+    return _derived_squares(base, p, q)
+
+
+@lru_cache(maxsize=8)
+@np.errstate(divide="ignore", invalid="ignore")  # a bad root fails its bracket
+def _derived_squares(base: tuple[int, int], p: int, q: int) -> np.ndarray:
+    """Squared singular values of W(p, q), derived from the factored W(base).
+
+    Deleting the trailing column of W deletes the trailing row and column of
+    W^T W = V diag(poles) V^T, whose remaining eigenvalues are the roots of
+    sum_i v_i^2 / (poles_i - mu) = 0 for the last row v of V, one between
+    each pair of adjacent poles (Cauchy interlacing; Golub, "Some modified
+    matrix eigenvalue problems", SIAM Rev. 15, 1973).  Rows are deleted the
+    same way from W W^T = U diag(poles) U^T, whose pole at zero (when W has
+    one row more than columns) carries the null vector's weight.  At each
+    further deletion the new eigenvectors are the Cauchy-like vectors
+    (diag(poles) - mu_k)^-1 v, normalized, which give the next row's weights
+    in O(n^2) without forming an eigenvector matrix.
+    """
+    factored = _block_svd(*base)
+    if q < base[1]:
+        (poles, tail), count = factored.columns, base[1] - q
+    else:
+        (poles, tail), count = factored.rows, base[0] - p
+    tail = tail[-count:]
+    while len(tail):
+        last, tail = tail[-1], tail[:-1]
+        origin, tau, _ = _secular_roots(poles, last * last)
+        tail = _next_rows(tail, poles, last, origin, tau)
+        poles = origin + tau
+    poles.flags.writeable = False
+    return poles
+
+
+def _reciprocals(shifted: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """1 / (shifted - tau), row by row, for poles shifted to each root's origin."""
+    r = shifted - tau[:, None]
+    return np.reciprocal(r, out=r)
+
+
+def _secular_roots(
+    poles: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of f(mu) = sum_i weights_i / (poles_i - mu), one per pole gap.
+
+    ``poles`` ascend strictly and ``weights`` are positive, so f rises from
+    -inf to +inf between adjacent poles and each gap holds one root.  A root
+    is kept in shifted coordinates mu = origin + tau, with origin the end of
+    its gap nearer to it (the sign of f at the gap's midpoint says which), so
+    that poles_i - mu = (poles_i - origin) - tau keeps its relative accuracy
+    however close mu is to a pole.  tau is found by Li's "middle way"
+    (SIAM J. Sci. Comput. 1994): f's parts left and right of mu are each
+    modelled by one pole at the gap's end and a constant, matching value and
+    slope, and the model's root is the next iterate; a step leaving the
+    bracket of iterates where f was found negative and positive bisects
+    instead.  Iteration stops when the step is at rounding level or |f| is
+    below 8 eps sum_i |weights_i / (poles_i - mu)|.
+
+    Returns (origin, tau, radius): both ends tau -/+ radius lie inside the
+    gap, and f evaluated there is negative and positive by more than the
+    bound on its rounding error, so f changes sign between them in exact
+    arithmetic too.  radius starts where f's slope should carry it past that
+    bound and widens 16-fold where it does not.  Raises ArithmeticError when
+    no such bracket is found.
+    """
+    count = poles.size - 1
+    origin, tau, radius = np.empty(count), np.empty(count), np.empty(count)
+    # Bound on |computed f - f| over sum_i |weights_i / (poles_i - mu)|: a
+    # few roundings per term, then a sum of poles.size terms in any order.
+    rounding = (poles.size + 8) * _EPS
+    for start in range(0, count, _CHUNK):
+        k = slice(start, min(start + _CHUNK, count))
+        left, right = poles[k], poles[k.start + 1 : k.stop + 1]
+        gap = right - left
+        near_left = _reciprocals(poles - left[:, None], gap / 2) @ weights >= 0
+        origin[k] = np.where(near_left, left, right)
+        shifted = poles - origin[k, None]
+        # Gap ends in shifted coordinates; the root lies in the half at 0.
+        low_end = np.where(near_left, 0.0, -gap)
+        high_end = low_end + gap
+        lo, hi = low_end / 2, high_end / 2
+        t = (lo + hi) / 2
+        for _ in range(_MAX_STEPS):
+            r = _reciprocals(shifted, t)
+            below, above = np.minimum(r, 0.0), np.maximum(r, 0.0)
+            psi, phi = below @ weights, above @ weights
+            below *= below
+            above *= above
+            dpsi, dphi = below @ weights, above @ weights
+            f = psi + phi
+            lo, hi = np.where(f > 0, lo, t), np.where(f > 0, t, hi)
+            # psi ~ c1 + s1 / (low_end - t'), phi ~ c2 + s2 / (high_end - t'):
+            # the model's root t + eta solves c eta^2 - a eta + b = 0.
+            el, eh = low_end - t, high_end - t
+            c = psi - dpsi * el + phi - dphi * eh
+            a = c * (el + eh) + dpsi * el * el + dphi * eh * eh
+            b = el * eh * f
+            disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            eta = np.where(a <= 0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+            done = (np.abs(eta) <= 4 * _EPS * np.abs(t)) | (
+                np.abs(f) <= 8 * _EPS * (phi - psi)
+            )
+            step = t + eta
+            step = np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2)
+            t = np.where(done, t, step)
+            if done.all():
+                break
+        # Where f's slope should carry it past the rounding bound, at least.
+        width = np.maximum(
+            4 * _EPS * np.abs(t),
+            (np.abs(f) + 2 * rounding * (phi - psi)) / (dpsi + dphi),
+        )
+        for _ in range(8):
+            ok = (t - width > low_end) & (t + width < high_end)
+            for end, sign in ((t - width, -1.0), (t + width, 1.0)):
+                r = _reciprocals(shifted, end)
+                ok &= sign * (r @ weights) > rounding * (np.abs(r) @ weights)
+            if ok.all():
+                break
+            width = np.where(ok, width, 16 * width)
+        else:
+            raise ArithmeticError(
+                f"secular equation: no checked bracket for {int((~ok).sum())} "
+                f"of {count} roots"
+            )
+        tau[k], radius[k] = t, width
+    return origin, tau, radius
+
+
+def _next_rows(
+    tail: np.ndarray,
+    poles: np.ndarray,
+    last: np.ndarray,
+    origin: np.ndarray,
+    tau: np.ndarray,
+) -> np.ndarray:
+    """Rows of ``tail`` in the eigenbasis left after deleting ``last``.
+
+    The eigenvector for root mu_k is (diag(poles) - mu_k)^-1 last, normalized,
+    with poles_i - mu_k taken in the root's shifted coordinates.
+    """
+    rotated = np.empty((len(tail), tau.size))
+    if len(tail):
+        for start in range(0, tau.size, _CHUNK):
+            k = slice(start, start + _CHUNK)
+            r = _reciprocals(poles - origin[k, None], tau[k])
+            r *= last
+            r /= np.linalg.norm(r, axis=1)[:, None]
+            rotated[:, k] = tail @ r.T
+    return rotated
 
 
 def _check_deleted_tail(build_order: int, deleted_tail: int) -> int:
@@ -209,7 +419,9 @@ def _check_deleted_tail(build_order: int, deleted_tail: int) -> int:
     return int(deleted_tail)
 
 
-def singular_spectrum(order: int, deleted_tail: int = 0) -> np.ndarray:
+def singular_spectrum(
+    order: int, deleted_tail: int = 0, *, base_order: int | None = None
+) -> np.ndarray:
     """Eigenvalues of the squared truncation, ascending, from blocks of W.
 
     The square of order N is built, then its ``deleted_tail`` = d trailing
@@ -220,17 +432,25 @@ def singular_spectrum(order: int, deleted_tail: int = 0) -> np.ndarray:
     block padded with zeros to its order.  At d = 0 that is every sigma^2
     of W(ceil(N/2), floor(N/2)) twice, plus one zero at odd N.
 
-    Values agree with ``eigen_symmetric(truncate_after_squaring(N, d))``
-    to within a few times 1e-15 ||B||.  Every singular triple passes the residual
-    check max(||W v - sigma u||, ||W^T u - sigma v||) <= 1e-8 sigma_max,
-    otherwise ArithmeticError is raised.  No order-N array is built; the
-    work is one SVD per distinct block, and the squared singular values of
-    recent blocks are cached (O(N) each).
+    One SVD serves every block within two deleted rows or columns of the
+    block W(ceil(B/2), floor(B/2)) of ``base_order`` = B (default N): such
+    blocks are derived from it by secular equations in O(N^2)
+    (:func:`_derived_squares`), which covers d <= 3 and, with B = N + 1, the
+    complete square of the next smaller order.  Other blocks get their own
+    SVD.  Values agree with ``eigen_symmetric(truncate_after_squaring(N, d))``
+    to within a few times 1e-15 ||B||.  Every factored block passes the
+    residual check max(||W v - sigma u||, ||W^T u - sigma v||) <= 1e-8
+    sigma_max and every derived value a sign check of its secular equation
+    at both ends of its bracket; otherwise ArithmeticError is raised.  No
+    order-N array is built, and the values of recent blocks are cached
+    (O(N) each).
     """
     order = _check_index(order, "order")
     keep = order - _check_deleted_tail(order, deleted_tail)
-    odd = _block_squares((keep + 1) // 2, order // 2)
-    even = _block_squares((order + 1) // 2, keep // 2)
+    base = _check_index(order if base_order is None else base_order, "base_order")
+    block = ((base + 1) // 2, base // 2)
+    odd = _block_squares((keep + 1) // 2, order // 2, block)
+    even = _block_squares((order + 1) // 2, keep // 2, block)
     zeros = np.zeros(keep - odd.size - even.size)
     return np.sort(np.concatenate([zeros, odd, even]))
 
@@ -240,7 +460,8 @@ def dense_bytes(sizes: list[int]) -> int:
 
     One order is solved at a time and only O(N) values are cached, so the
     estimate is that of the largest order: ``_BLOCK_ARRAYS`` float64 arrays
-    of ceil(N/2)^2 entries for the SVD of W and its residual check.
+    of ceil(N/2)^2 entries for the SVD of W and its residual check.  The
+    blocks derived from that SVD add no array of that size.
     Computed from the orders alone, before anything is allocated.
     """
     half = (max(sizes, default=0) + 1) // 2
@@ -304,7 +525,8 @@ def near_integer_check(size: int) -> list[NearInteger]:
     size = _check_index(size, "size")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    magnitudes = np.sqrt(_block_squares((size + 1) // 2, size // 2))
+    block = ((size + 1) // 2, size // 2)
+    magnitudes = np.sqrt(_block_squares(*block, block))
     odd_targets = size % 2 == 0
     records = []
     for magnitude in magnitudes.tolist():

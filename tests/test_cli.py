@@ -149,6 +149,30 @@ class TestOtherCommands:
         monkeypatch.setattr(spectra, "_square_array", refuse)
         assert run_cli(args + ["--out", os.devnull]) == 0
 
+    @pytest.mark.parametrize(
+        "sizes, delete_tail, svds",
+        [
+            ("199,200", "3", 1),  # every block within two deletions of W(100, 100)
+            ("10,200", "1", 2),  # W(5, 5) is too far from it: its own SVD
+        ],
+    )
+    def test_table2_factors_only_blocks_it_cannot_derive(
+        self, sizes, delete_tail, svds, monkeypatch
+    ):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        spectra._block_svd.cache_clear()
+        spectra._derived_squares.cache_clear()
+        args = ["table2", "--sizes", sizes, "--delete-tail", delete_tail]
+        assert run_cli(args + ["--out", os.devnull]) == 0
+        assert len(calls) == svds, calls
+
     def test_spectrum_pairs_takes_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("decomposition called")
@@ -215,6 +239,18 @@ class TestConfigAndErrors:
         assert run_cli(["table2", "--sizes", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("momtrunc: error: eigensolve residual")
+        assert err.count("\n") == 1
+
+    def test_failed_bracket_check_is_runtime_error(self, monkeypatch, capsys):
+        reciprocals = spectra._reciprocals
+        # A secular function with the wrong sign has no bracket to check.
+        monkeypatch.setattr(
+            spectra, "_reciprocals", lambda shifted, tau: -reciprocals(shifted, tau)
+        )
+        spectra._derived_squares.cache_clear()
+        assert run_cli(["table2", "--sizes", "9,10", "--delete-tail", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("momtrunc: error: secular equation: no checked bracket")
         assert err.count("\n") == 1
 
 

@@ -80,6 +80,23 @@ class TestTripleProduct:
             for err_odd, err_even in zip(errors[::2], errors[1::2]):
                 assert err_odd * err_even < 0
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 8)])
+    def test_error_follows_the_harmonic_law(self, m, n):
+        # N (T - target) / (8 m n / pi^3) = (-1)^(N+m) (ln 4N + gamma) up to
+        # O(ln N / N): the bound's constant is fitted at N = 10^4 and 10^4 + 1.
+        target = p3_hermitian_entry(m, n)
+
+        def law_residual(size):
+            error = triple_product_sum(m, n, size) - target
+            scaled = size * error * math.pi**3 / (8 * m * n)
+            return scaled - (-1) ** (size + m) * (math.log(4 * size) + np.euler_gamma)
+
+        fitted = max(
+            abs(law_residual(size)) * size / math.log(size) for size in (10**4, 10**4 + 1)
+        )
+        for size in (10**5, 10**5 + 1, 10**6, 10**6 + 1):
+            assert abs(law_residual(size)) <= fitted * math.log(size) / size, size
+
     def test_requires_size_at_least_max_label(self):
         with pytest.raises(ValueError):
             triple_product_sum(3, 5, 4)
@@ -205,6 +222,21 @@ class TestQuadPower:
     def test_diverges_from_exact_value(self):
         deviations = [abs(quad_power_entry(1, 1, size) - 1.0) for size in (60, 120, 240)]
         assert deviations[0] < deviations[1] < deviations[2]
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 4)])
+    def test_growth_rate_and_its_gap(self, m, n):
+        # quad_power_entry / N -> 8 m n / (3 pi^2) with a gap of O(ln^2 N / N),
+        # not O(ln N / N): the bound's constant is fitted at N = 10^4, 10^4 + 1.
+        rate = 8 * m * n / (3 * math.pi**2)
+
+        def gap(size):
+            return quad_power_entry(m, n, size) / size - rate
+
+        fitted = max(
+            abs(gap(size)) * size / math.log(size) ** 2 for size in (10**4, 10**4 + 1)
+        )
+        for size in (10**5, 10**5 + 1, 10**6, 10**6 + 1):
+            assert abs(gap(size)) <= fitted * math.log(size) ** 2 / size, size
 
     def test_opposite_parity_entry_vanishes_exactly(self):
         assert quad_power_entry(1, 2, 100) == 0.0

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -287,6 +288,25 @@ class TestRepair:
             repair_convergence(15, [10])
 
 
+def blocks_of(order, deleted_tail):
+    """The (odd, even) blocks W(p, q) of the repaired square's spectrum."""
+    keep = order - deleted_tail
+    return [((keep + 1) // 2, order // 2), ((order + 1) // 2, keep // 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def forty_digit_squares(p, q):
+    """Nonzero squared singular values of W(p, q) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        w = mpmath.matrix(p, q)
+        for i in range(p):
+            for j in range(q):
+                m, n = 2 * i + 1, 2 * j + 2
+                w[i, j] = -4 * m * n / (mpmath.pi * (m * m - n * n))
+        gram = w.T * w if p >= q else w * w.T
+        return [float(value) for value in mpmath.eigsy(gram, eigvals_only=True)]
+
+
 class TestSingularSpectrum:
     """The W-block SVD path against the dense eigensolve it replaces."""
 
@@ -299,7 +319,7 @@ class TestSingularSpectrum:
         assert np.abs(fast - dense).max() <= 1e-13 * norm
 
     @settings(deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 3))
+    @given(st.integers(1, 60), st.integers(0, 5))  # d > 3 passes the derived reach
     def test_matches_dense_eigensolve(self, order, deleted_tail):
         self.assert_matches_dense(order, min(deleted_tail, order - 1))
 
@@ -310,22 +330,72 @@ class TestSingularSpectrum:
 
     @pytest.mark.parametrize("order", [20, 41, 60])
     def test_matches_forty_digit_eigenvalues(self, order):
-        # W and W^T W in 40-digit arithmetic, from the closed form alone.
-        p, q = (order + 1) // 2, order // 2
-        with mpmath.workdps(40):
-            w = mpmath.matrix(p, q)
-            for i in range(p):
-                for j in range(q):
-                    m, n = 2 * i + 1, 2 * j + 2
-                    w[i, j] = -4 * m * n / (mpmath.pi * (m * m - n * n))
-            exact = mpmath.eigsy(w.T * w, eigvals_only=True)
-            squares = sorted(float(value) for value in exact)
-        expected = np.array([0.0] * (p - q) + sorted(squares + squares))
-        fast = singular_spectrum(order)
-        assert np.array_equal(fast == 0.0, expected == 0.0)
-        nonzero = expected != 0.0
-        relative = np.abs(fast[nonzero] - expected[nonzero]) / expected[nonzero]
-        assert relative.max() <= 1e-13
+        # d = 1..3 derive blocks from the SVD of W(ceil(N/2), floor(N/2)).
+        for deleted_tail in range(4):
+            keep = order - deleted_tail
+            squares = [
+                value
+                for p, q in blocks_of(order, deleted_tail)
+                for value in forty_digit_squares(p, q)
+            ]
+            expected = np.array(sorted([0.0] * (keep - len(squares)) + squares))
+            fast = singular_spectrum(order, deleted_tail)
+            assert np.array_equal(fast == 0.0, expected == 0.0), deleted_tail
+            nonzero = expected != 0.0
+            relative = np.abs(fast[nonzero] - expected[nonzero]) / expected[nonzero]
+            assert relative.max() <= 1e-13, deleted_tail
+
+    @pytest.mark.parametrize(
+        "order, deleted_tail",
+        [(order, d) for order in (999, 1000) for d in range(4)] + [(2000, 3)],
+    )
+    def test_derived_blocks_match_their_own_svd(self, order, deleted_tail):
+        # At d = 0 the complete square comes from the next order's block, as
+        # table2 takes it.
+        base_order = order + 1 if deleted_tail == 0 else order
+        spectra._derived_squares.cache_clear()
+        derived = singular_spectrum(order, deleted_tail, base_order=base_order)
+        assert spectra._derived_squares.cache_info().currsize >= 1
+        blocks = blocks_of(order, deleted_tail)
+        direct = [spectra._block_svd(p, q).squares for p, q in blocks]
+        zeros = np.zeros(order - deleted_tail - sum(block.size for block in direct))
+        expected = np.sort(np.concatenate([zeros, *direct]))
+        assert np.abs(derived - expected).max() <= 1e-13 * expected[-1]
+
+    @pytest.mark.parametrize("order", [20, 41, 999, 1000])
+    def test_derived_values_interlace_strictly(self, order):
+        p, q = base = (order + 1) // 2, order // 2
+        factored = spectra._block_svd(*base)
+        for (poles, _), blocks in (
+            (factored.columns, [(p, q - 1), (p, q - 2)]),
+            (factored.rows, [(p - 1, q), (p - 2, q)]),
+        ):
+            for block in blocks:
+                values = spectra._block_squares(*block, base)
+                assert values.size == poles.size - 1
+                assert np.all(poles[:-1] < values) and np.all(values < poles[1:])
+                poles = values
+
+    @pytest.mark.parametrize("order", [20, 41])
+    def test_secular_brackets_hold_the_exact_roots(self, order):
+        factored = spectra._block_svd((order + 1) // 2, order // 2)
+        for poles, tail in (factored.columns, factored.rows):
+            weights = tail[-1] ** 2
+            origin, tau, radius = spectra._secular_roots(poles, weights)
+            with mpmath.workdps(40):
+                exact_poles = [mpmath.mpf(float(x)) for x in poles]
+
+                def secular(mu):
+                    return mpmath.fsum(
+                        float(w) / (x - mu) for w, x in zip(weights, exact_poles)
+                    )
+
+                for k in range(tau.size):
+                    at = mpmath.mpf(float(origin[k])) + mpmath.mpf(float(tau[k]))
+                    low, high = at - float(radius[k]), at + float(radius[k])
+                    assert exact_poles[k] < low and high < exact_poles[k + 1]
+                    assert secular(low) < 0 < secular(high)
+                    assert radius[k] <= 1e-11 * abs(tau[k])
 
     def test_block_is_the_dense_entry_block(self):
         a = momentum_array(13)
@@ -339,6 +409,8 @@ class TestSingularSpectrum:
             singular_spectrum(10, 10)
         with pytest.raises(ValueError):
             singular_spectrum(10, -1)
+        with pytest.raises(ValueError):
+            singular_spectrum(10, base_order=0)
 
     def test_rejects_boolean_deletion(self):
         with pytest.raises(ValueError):
