@@ -54,8 +54,22 @@ _MAX_DENSE_BYTES = 4 * 2**30
 # interpreter at N = 10^6 and 4 * 10^6: 21 B for tails, 32-35 B for table1
 # and p2check, 44 B for diverge; 64 keeps a margin).
 _LINEAR_BYTES_PER_LABEL = 64
-# Keys a config file may set; the flag of the same name wins over each.
-_CONFIG_KEYS = ("pairs", "sizes", "delete_tail", "format", "out")
+# Largest pair label, the largest size the O(N) commands accept (2^26): up
+# to it m^2 is exact in float64, so every closed-form evaluation of a_mn
+# agrees bit for bit.
+_MAX_LABEL = _MAX_DENSE_BYTES // _LINEAR_BYTES_PER_LABEL
+# argparse keywords of the flags a command may take; a config file may set
+# the key of each flag the command takes, and the flag wins over it.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "pairs": {"help": "pairs as 'm,n;m,n' (1-based labels)"},
+    "sizes": {"help": "truncation sizes as 'N1,N2,...' (ascending)"},
+    "delete_tail": {
+        "type": int,
+        "help": "rows/columns to delete from the largest squared matrix",
+    },
+    "format": {"choices": ["csv", "json"], "help": "output format"},
+    "out": {"help": "output path (default: stdout)"},
+}
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -96,9 +110,6 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(_CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return raw
 
 
@@ -110,8 +121,8 @@ def _is_count(value: Any, least: int) -> bool:
 def _read_pairs(value: Any) -> list[tuple[int, int]]:
     """Pairs from a flag's 'm,n;m,n' string or a config file's string or list."""
     if isinstance(value, str):
-        return _parse_pairs(value)
-    if isinstance(value, list):
+        pairs = _parse_pairs(value)
+    elif isinstance(value, list):
         pairs = []
         for item in value:
             if not (isinstance(item, list) and len(item) == 2):
@@ -120,8 +131,14 @@ def _read_pairs(value: Any) -> list[tuple[int, int]]:
             if not (_is_count(m, 1) and _is_count(n, 1)):
                 raise UsageError(f"pair indices must be integers >= 1, got {item!r}")
             pairs.append((m, n))
-        return pairs
-    raise UsageError(f"config pairs must be a list or 'm,n;m,n' string, got {value!r}")
+    else:
+        raise UsageError(
+            f"config pairs must be a list or 'm,n;m,n' string, got {value!r}"
+        )
+    for pair in pairs:
+        if max(pair) > _MAX_LABEL:
+            raise UsageError(f"pair labels must be <= {_MAX_LABEL}, got {pair}")
+    return pairs
 
 
 def _read_sizes(value: Any) -> list[int]:
@@ -136,8 +153,12 @@ def _read_sizes(value: Any) -> list[int]:
 def _assemble_config(args: argparse.Namespace) -> ReportConfig:
     command = args.command
     experiment = EXPERIMENTS[command]
+    keys = experiment.keys
     file_cfg = _load_config_file(args.config) if args.config else {}
-    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    unread = set(file_cfg) - set(keys)
+    if unread:
+        raise UsageError(f"config keys {command} does not read: {sorted(unread)}")
+    flags = {key: getattr(args, key) for key in keys}
     flags = {key: value for key, value in flags.items() if value is not None}
 
     # Pairs and sizes are checked as each source gives them; flags win.
@@ -358,8 +379,9 @@ def _run_spectrum_pairs(cfg: ReportConfig) -> Report:
 class Experiment:
     """One subcommand: its help, defaults, report builder and memory estimate.
 
-    A command requires pairs (sizes) exactly when it has default pairs
-    (sizes); ``delete_tail`` is None for commands without ``--delete-tail``.
+    A command takes and requires pairs (sizes) exactly when it has default
+    pairs (sizes); ``delete_tail`` is None for commands without
+    ``--delete-tail``.
     """
 
     help: str
@@ -368,6 +390,16 @@ class Experiment:
     sizes: tuple[int, ...] = ()
     delete_tail: int | None = None
     estimate_bytes: Callable[[list[int]], int] = _linear_bytes
+
+    @property
+    def keys(self) -> list[str]:
+        """The flags, and config keys, this command reads."""
+        reads = {
+            "pairs": bool(self.pairs),
+            "sizes": bool(self.sizes),
+            "delete_tail": self.delete_tail is not None,
+        }
+        return [key for key, read in reads.items() if read] + ["format", "out"]
 
 
 EXPERIMENTS = {
@@ -455,18 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, experiment in EXPERIMENTS.items():
         cmd = sub.add_parser(name, help=experiment.help, description=experiment.help)
-        cmd.add_argument("--pairs", help="pairs as 'm,n;m,n' (1-based labels)")
-        cmd.add_argument("--sizes", help="truncation sizes as 'N1,N2,...' (ascending)")
-        cmd.add_argument("--format", choices=["csv", "json"], help="output format")
-        cmd.add_argument("--out", help="output path (default: stdout)")
+        for key in experiment.keys:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
         cmd.add_argument("--config", help="JSON config file; flags win over its values")
-        if experiment.delete_tail is not None:
-            cmd.add_argument(
-                "--delete-tail",
-                dest="delete_tail",
-                type=int,
-                help="rows/columns to delete from the largest squared matrix",
-            )
     return parser
 
 

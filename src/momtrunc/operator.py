@@ -37,8 +37,7 @@ class TruncatedMatrix:
     """Dense real matrix truncated to basis labels 1..order.
 
     ``entries[i, j]`` holds the element for basis labels (i+1, j+1).
-    Entries may be a read-only view into a cached array; copy before
-    mutating.
+    Entries built by this package are read-only; copy before mutating.
     """
 
     order: int
@@ -79,6 +78,15 @@ def _fsum(terms: np.ndarray) -> float:
     )
 
 
+def _closed_form(m, n):
+    """a_mn = -4 m n / (pi (m^2 - n^2)) for labels of opposite parity.
+
+    Broadcasts over numpy arrays of labels.  Swapping the arguments negates
+    only the denominator, which IEEE arithmetic performs exactly.
+    """
+    return -4.0 * m * n / (math.pi * (m * m - n * n))
+
+
 def momentum_entry(m: int, n: int) -> float:
     """I-factored momentum matrix element a_mn (true entry is i * a_mn).
 
@@ -90,7 +98,7 @@ def momentum_entry(m: int, n: int) -> float:
     n = _check_index(n, "n")
     if (m + n) % 2 == 0:
         return 0.0
-    return -4.0 * m * n / (math.pi * (m * m - n * n))
+    return _closed_form(m, n)
 
 
 def momentum_row(m: int, size: int) -> np.ndarray:
@@ -99,61 +107,56 @@ def momentum_row(m: int, size: int) -> np.ndarray:
     size = _check_index(size, "size")
     out = np.zeros(size)
     s = np.arange(1 + m % 2, size + 1, 2.0)  # labels of the other parity
-    out[m % 2 :: 2] = -4.0 * m * s / (math.pi * (m * m - s * s))
+    out[m % 2 :: 2] = _closed_form(m, s)
     return out
 
 
-@lru_cache(maxsize=8)
-def _antisymmetric_array(size: int) -> np.ndarray:
-    # One vectorized formula evaluation; antisymmetry is exact because the
-    # swap only negates the denominator (see momentum_entry).
-    labels = np.arange(1, size + 1)
-    grid = labels.astype(float)
-    numer = -4.0 * np.outer(grid, grid)
-    denom = math.pi * (grid[:, None] ** 2 - grid[None, :] ** 2)
-    odd = np.add.outer(labels, labels) % 2 == 1
+def _w_block(p: int, q: int) -> np.ndarray:
+    """Leading p x q block of W: odd labels 1..2p-1 against even labels 2..2q.
+
+    In parity order the truncation is [[0, W], [-W^T, 0]], so W holds every
+    nonzero entry; every dense array here is assembled from it.
+    """
+    m = np.arange(1.0, 2.0 * p, 2.0)
+    n = np.arange(2.0, 2.0 * q + 1.0, 2.0)
+    return _closed_form(m[:, None], n[None, :])
+
+
+def momentum_array(size: int) -> np.ndarray:
+    """Read-only i-factored array a_mn for 1 <= m, n <= size.
+
+    Assembled from W, so it is antisymmetric to the last bit: negation is
+    exact.
+    """
+    size = _check_index(size, "size")
+    w = _w_block((size + 1) // 2, size // 2)
     a = np.zeros((size, size))
-    a[odd] = numer[odd] / denom[odd]
+    a[0::2, 1::2] = w
+    a[1::2, 0::2] = -w.T
     a.flags.writeable = False
     return a
 
 
-def momentum_array(size: int) -> np.ndarray:
-    """Read-only i-factored array a_mn for 1 <= m, n <= size (cached)."""
-    size = _check_index(size, "size")
-    return _antisymmetric_array(size)
-
-
-@lru_cache(maxsize=6)
 def _square_array(size: int) -> np.ndarray:
-    """Square of the truncated momentum matrix, -A A (symmetric, PSD).
+    """Read-only square of the truncated momentum matrix, -A A (symmetric, PSD).
 
-    Built parity-block-wise: with W = a[odd labels, even labels], the odd
-    block is W W^T and the even block is W^T W, because the even-odd block
-    of A is exactly -W^T.  Gram products keep the square exactly symmetric
-    and exactly zero on opposite-parity entries.
+    Built parity-block-wise from W: the odd block is W W^T and the even block
+    is W^T W, because the even-odd block of A is exactly -W^T.  Gram products
+    keep the square exactly symmetric and exactly zero on opposite-parity
+    entries.
 
-    The even block is always formed at the next even order and sliced: the
+    Both blocks come from one W taken at the next even order and sliced: the
     extra even label does not extend the odd middle-index range, so the
-    values are unchanged, while the BLAS product is run on identical inputs
-    for adjacent orders.  Deleting the trailing row and column of an
-    even-order square therefore reproduces the odd-order square's even
-    block entrywise exactly, not merely to rounding.
+    values are unchanged, while the BLAS product for the even block is run
+    on identical inputs for adjacent orders.  Deleting the trailing row and
+    column of an even-order square therefore reproduces the odd-order
+    square's even block entrywise exactly, not merely to rounding.
     """
-    odd_idx = np.arange(0, size, 2)  # basis labels 1, 3, 5, ...
-    even_idx = np.arange(1, size, 2)  # basis labels 2, 4, 6, ...
-    a = _antisymmetric_array(size)
-    w_odd = np.ascontiguousarray(a[np.ix_(odd_idx, even_idx)])
+    half, q = (size + 1) // 2, size // 2
+    w = _w_block(half, half)
     out = np.zeros((size, size))
-    out[np.ix_(odd_idx, odd_idx)] = w_odd @ w_odd.T
-    if even_idx.size:
-        full = size + size % 2
-        a_full = _antisymmetric_array(full)
-        w_full = np.ascontiguousarray(
-            a_full[np.ix_(np.arange(0, full, 2), np.arange(1, full, 2))]
-        )
-        even_block = w_full.T @ w_full
-        out[np.ix_(even_idx, even_idx)] = even_block[: even_idx.size, : even_idx.size]
+    out[0::2, 0::2] = w[:, :q] @ w[:, :q].T
+    out[1::2, 1::2] = (w.T @ w)[:q, :q]
     out.flags.writeable = False
     return out
 

@@ -14,22 +14,21 @@ union of squared singular values of leading blocks of ``W``
 serves every block within two deleted trailing rows or columns of it, whose
 values are the roots of secular equations in that SVD's last rows (Cauchy
 interlacing).  The dense eigensolve (:func:`eigen_symmetric` on
-:func:`squared_momentum`) is kept as the independent reference.  The
-opposite pairs and the zero mode at odd order are structural too, and W
-has full rank by Cauchy's determinant formula, so :func:`spectrum_pairing`
-computes nothing.
+:func:`squared_momentum`, whose blocks are Gram products of the same W) is
+kept as the independent reference.  The opposite pairs and the zero mode at
+odd order are structural too, and W has full rank by Cauchy's determinant
+formula, so :func:`spectrum_pairing` computes nothing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .operator import TruncatedMatrix, _check_index, _square_array
+from .operator import TruncatedMatrix, _check_index, _square_array, _w_block
 
 __all__ = [
     "SpectrumReport",
@@ -42,7 +41,6 @@ __all__ = [
     "near_integer_check",
     "truncate_after_squaring",
     "repair_convergence",
-    "dense_bytes",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -153,17 +151,6 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
         eigenvalues=values,
         degeneracy_groups=_degeneracy_groups(values, _GROUPING_TOL),
     )
-
-
-def _w_block(p: int, q: int) -> np.ndarray:
-    """Leading p x q block of W: odd labels 1..2p-1 against even labels 2..2q.
-
-    Evaluated straight from the closed form a_mn (same expression, so the
-    same bits, as the dense entry array), with no order-N array.
-    """
-    m = np.arange(1.0, 2.0 * p, 2.0)
-    n = np.arange(2.0, 2.0 * q + 1.0, 2.0)
-    return -4.0 * np.outer(m, n) / (math.pi * (m[:, None] ** 2 - n[None, :] ** 2))
 
 
 # Roots of a secular equation solved together, bounding the (roots x poles)

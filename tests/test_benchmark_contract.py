@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` wraps library functions it looks up by name, and
 ``perfbench/checks.py`` compares the default reports with recorded ones.  A
-rename or deletion that would break either fails here.
+rename or deletion that would break either fails here, and so does an array
+sweep that no longer runs or sums the wrong products.
 """
 
 import contextlib
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from momtrunc.cli import main
+from momtrunc.operator import p3_hermitian_entry
+from momtrunc.products import triple_product_sum
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +63,19 @@ def test_traced_run_reports_what_main_reports(monkeypatch):
 @pytest.mark.parametrize("command", checks.DEFAULT_COMMANDS)
 def test_default_report_passes_reference_check(command):
     assert checks.reference_check(command)(_report([command])) == []
+
+
+def test_array_sweep_times_every_size_and_sums_the_triple_products():
+    # The spectra sweep is left out: its dense eigh at N = 4000 takes ~12 s.
+    result = tracer.sweep_arrays()
+    sizes = tracer.SWEEP_SIZES
+    assert sorted(result["times"]) == sorted(
+        f"{layer}.n{size}_s"
+        for layer in ("momentum_array", "triple_product_sum")
+        for size in sizes
+    )
+    assert all(0.0 < seconds < 60.0 for seconds in result["times"].values())
+    values = [result["values"][f"triple_product_sum.n{size}"] for size in sizes]
+    assert values == [triple_product_sum(1, 2, size) for size in sizes]
+    errors = [abs(value - p3_hermitian_entry(1, 2)) for value in values]
+    assert errors[0] > errors[1] > errors[2]

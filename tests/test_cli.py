@@ -145,7 +145,7 @@ class TestOtherCommands:
             raise AssertionError("dense path called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(operator, "_antisymmetric_array", refuse)
+        monkeypatch.setattr(operator, "momentum_array", refuse)
         monkeypatch.setattr(spectra, "_square_array", refuse)
         assert run_cli(args + ["--out", os.devnull]) == 0
 
@@ -221,6 +221,25 @@ class TestConfigAndErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pears": 1}), encoding="utf-8")
         assert run_cli(["table1", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("table2", "pairs", "1,2"),
+            ("spectrum-pairs", "pairs", "1,2"),
+            ("assoc", "sizes", "10000000000000"),
+            ("table1", "delete_tail", "1"),
+        ],
+    )
+    def test_flags_and_config_keys_a_command_does_not_read_are_usage_errors(
+        self, command, key, value, tmp_path, capsys
+    ):
+        assert run_cli([command, "--" + key.replace("_", "-"), value]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        assert f"config keys {command} does not read" in capsys.readouterr().err
 
     def test_unwritable_output_is_runtime_error(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -306,7 +325,7 @@ class TestDenseSizeGuard:
         def refuse(*shape):
             raise AssertionError(f"allocated an array of shape {shape}")
 
-        monkeypatch.setattr(operator, "_antisymmetric_array", refuse)
+        monkeypatch.setattr(operator, "_w_block", refuse)
         monkeypatch.setattr(spectra, "_w_block", refuse)
         assert run_cli([command, "--sizes", "13377"]) == 2
         assert "accepted up to N = 13376" in capsys.readouterr().err
@@ -328,7 +347,7 @@ def _joined(items, sep):
 
 @st.composite
 def cli_arguments(draw):
-    """A subcommand with pairs, sizes and flags, mostly well formed."""
+    """A subcommand with the flags it takes, mostly well formed."""
     command = draw(st.sampled_from(COMMANDS))
     pairs = draw(
         st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=2).map(
@@ -345,8 +364,13 @@ def cli_arguments(draw):
         )
         | st.lists(ANY_LABEL, max_size=3).map(lambda ss: _joined(ss, ","))
     )
-    args = [command, "--pairs", pairs, "--sizes", sizes]
-    if command == "table2" and draw(st.booleans()):
+    keys = cli.EXPERIMENTS[command].keys
+    args = [command]
+    if "pairs" in keys:
+        args += ["--pairs", pairs]
+    if "sizes" in keys:
+        args += ["--sizes", sizes]
+    if "delete_tail" in keys and draw(st.booleans()):
         args += ["--delete-tail", str(draw(ANY_LABEL))]
     args += ["--format", draw(st.sampled_from(["csv", "json"]))]
     return args
@@ -381,6 +405,21 @@ class TestExitCodes:
     def test_inputs_the_library_rejects_are_usage_errors(self, command, pairs, sizes):
         assert run_cli([command, "--pairs", pairs, "--sizes", sizes]) == 2
 
+    def test_pair_labels_above_the_largest_size_are_usage_errors(self, tmp_path, capsys):
+        # Such labels would reach float conversion, which raises for 10^160.
+        huge = 10**160
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairs": [[1, huge]]}), encoding="utf-8")
+        for args in (
+            ["assoc", "--pairs", f"{huge},2"],
+            ["p2check", "--pairs", f"{huge},2", "--sizes", "10"],
+            ["p2check", "--pairs", "67108865,2", "--sizes", "10"],
+            ["assoc", "--config", str(cfg)],
+        ):
+            assert run_cli(args) == 2, args
+            assert "pair labels must be <= 67108864" in capsys.readouterr().err
+        assert run_cli(["assoc", "--pairs", "67108864,1"]) == 0
+
     @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
     def test_library_errors_are_runtime_errors(self, error, monkeypatch, capsys):
         def fail(*args):
@@ -401,9 +440,11 @@ class TestExitCodes:
         ],
     )
     def test_bad_config_values_are_usage_errors(self, config, tmp_path):
+        # table2 reads every key but pairs, which table1 reads.
+        command = "table1" if "pairs" in config else "table2"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert run_cli(["table2", "--config", str(path), "--sizes", "9,10"]) == 2
+        assert run_cli([command, "--config", str(path), "--sizes", "9,10"]) == 2
 
 
 def test_cli_imports_only_the_standard_library_and_numpy():

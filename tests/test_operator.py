@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from momtrunc import operator
+import momtrunc
+from momtrunc import operator, products, spectra, tails
 from momtrunc.operator import (
     TruncatedMatrix,
     momentum_array,
@@ -194,3 +196,35 @@ class TestMatrixBuilders:
             for n in range(1, 8):
                 if (m + n) % 2 == 1:
                     assert square[m - 1, n - 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [(momentum_array, 2000), (operator._square_array, 1999)],
+        ids=["momentum_array", "_square_array"],
+    )
+    def test_dense_builders_peak_low_and_keep_nothing(self, build, size):
+        # Assembled from one W, with no cache: below 2 N^2 doubles at peak,
+        # and nothing of that size traced once the result is gone.
+        doubles = 8 * size * size
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = build(size)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            del result
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * doubles
+        assert kept < doubles / 100
+
+
+def test_package_exports_each_modules_public_names():
+    modules = (operator, products, spectra, tails)
+    names = [name for module in modules for name in module.__all__]
+    assert momtrunc.__all__ == names + ["__version__"]
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(momtrunc, name) is getattr(module, name)
+    assert "dense_bytes" not in names

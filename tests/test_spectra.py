@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momtrunc import spectra
-from momtrunc.operator import momentum_array
+from momtrunc.operator import momentum_array, momentum_entry
 from momtrunc.spectra import (
     eigen_symmetric,
     near_integer_check,
@@ -251,15 +251,17 @@ class TestRepair:
         assert np.array_equal(repaired.entries, squared_momentum(10).entries[:7, :7])
 
     def test_block_identity_at_small_order(self):
-        repaired = truncate_after_squaring(10, 1).entries
-        odd = np.arange(0, 9, 2)
-        even = np.arange(1, 9, 2)
-        assert np.array_equal(
-            repaired[np.ix_(odd, odd)], squared_momentum(10).entries[np.ix_(odd, odd)]
-        )
-        assert np.array_equal(
-            repaired[np.ix_(even, even)], squared_momentum(9).entries[np.ix_(even, even)]
-        )
+        for order in (2, 4, 10, 16, 64):
+            repaired = truncate_after_squaring(order, 1).entries
+            odd = np.arange(0, order - 1, 2)
+            even = np.arange(1, order - 1, 2)
+            full, smaller = squared_momentum(order), squared_momentum(order - 1)
+            assert np.array_equal(
+                repaired[np.ix_(odd, odd)], full.entries[np.ix_(odd, odd)]
+            ), order
+            assert np.array_equal(
+                repaired[np.ix_(even, even)], smaller.entries[np.ix_(even, even)]
+            ), order
 
     def test_validates_deletion_count(self):
         with pytest.raises(ValueError):
@@ -398,9 +400,13 @@ class TestSingularSpectrum:
                     assert radius[k] <= 1e-11 * abs(tau[k])
 
     def test_block_is_the_dense_entry_block(self):
-        a = momentum_array(13)
-        assert np.array_equal(spectra._w_block(7, 6), a[0::2, 1::2])
-        assert np.array_equal(spectra._w_block(3, 5), a[0:5:2, 1:10:2])
+        # W(ceil(N/2), floor(N/2)) at odd and even N, and off-shape blocks.
+        for p, q in [(7, 6), (3, 5), (150, 149), (150, 150)]:
+            entries = [
+                [momentum_entry(m, n) for n in range(2, 2 * q + 1, 2)]
+                for m in range(1, 2 * p, 2)
+            ]
+            assert np.array_equal(spectra._w_block(p, q), np.array(entries)), (p, q)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
