@@ -3,8 +3,9 @@
 Identical configuration produces byte-identical files: row order follows the
 configured pair and size order, and every float column has a fixed format.
 CSV files are comma separated with a header row and LF line endings; JSON
-reports are a single object with the experiment name, a config echo, column
-names and full-precision rows.
+reports are a single object with the experiment name, a config echo (the
+keys the command reads, which ``--config`` accepts back), column names and
+full-precision rows.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or sizes whose arrays would exceed a fixed
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -260,21 +261,14 @@ def _run_table2(cfg: ReportConfig) -> Report:
         raise UsageError(
             f"delete_tail {cfg.delete_tail} must be < largest size {largest}"
         )
-    # Factored first: the other columns' blocks are derived from its SVD.
-    complete = spectra.singular_spectrum(largest)
-    spectra_by_column = [
-        (f"complete_{size}", spectra.singular_spectrum(size, base_order=largest))
-        for size in cfg.sizes[:-1]
-    ]
+    requests = [(size, 0) for size in cfg.sizes[:-1]]
     if cfg.delete_tail > 0:
-        spectra_by_column.append(
-            (
-                f"truncated_{largest}_to_{largest - cfg.delete_tail}",
-                spectra.singular_spectrum(largest, cfg.delete_tail),
-            )
-        )
-    spectra_by_column.append((f"complete_{largest}", complete))
-
+        requests.append((largest, cfg.delete_tail))
+    requests.append((largest, 0))
+    spectra_by_column = [
+        (f"complete_{size}" if d == 0 else f"truncated_{size}_to_{size - d}", values)
+        for (size, d), values in zip(requests, spectra.singular_spectra(requests))
+    ]
     depth = max(len(vals) for _, vals in spectra_by_column)
     rows = [
         [i + 1] + [float(v[i]) if i < len(v) else None for _, v in spectra_by_column]
@@ -465,9 +459,15 @@ def _render_csv(columns: Columns, rows: list[Row]) -> str:
 
 
 def _render_json(cfg: ReportConfig, columns: Columns, rows: list[Row]) -> str:
+    # The config echo holds only keys the command reads, so it can be passed
+    # back as --config.
     payload = {
         "experiment": cfg.command,
-        "config": asdict(cfg),
+        "config": {
+            key: getattr(cfg, key)
+            for key in EXPERIMENTS[cfg.command].keys
+            if not (key == "out" and cfg.out is None)
+        },
         "columns": [name for name, _ in columns],
         "rows": rows,
     }
@@ -490,12 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
         for key in experiment.keys:
             cmd.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
         cmd.add_argument("--config", help="JSON config file; flags win over its values")
+        cmd.set_defaults(command_parser=cmd)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        # Reported by the subcommand, whose usage line lists the flags it takes.
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = _assemble_config(args)
         _check_memory(cfg)

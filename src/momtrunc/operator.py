@@ -52,11 +52,11 @@ class TruncatedMatrix:
             )
 
 
-def _check_index(value: int, name: str = "index") -> int:
+def _check_index(value: int, name: str = "index", least: int = 1) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

@@ -10,12 +10,13 @@ In parity order the truncation is ``A = [[0, W], [-W^T, 0]]`` with
 ``W = a[odd labels, even labels]``, so the square's odd block is ``W W^T``
 and its even block ``W^T W``.  Every spectrum reported here is therefore a
 union of squared singular values of leading blocks of ``W``
-(:func:`singular_spectrum`): one residual-checked SVD of the largest block
-serves every block within two deleted trailing rows or columns of it, whose
-values are the roots of secular equations in that SVD's last rows (Cauchy
-interlacing).  The dense eigensolve (:func:`eigen_symmetric` on
-:func:`squared_momentum`, whose blocks are Gram products of the same W) is
-kept as the independent reference.  The opposite pairs and the zero mode at
+(:func:`singular_spectra`).  Within one call, one residual-checked SVD of
+the largest block serves every block within two deleted trailing rows or
+columns of it, whose values are the roots of secular equations in that
+SVD's last rows (Cauchy interlacing); nothing is kept between calls.  The
+dense eigensolve (:func:`eigen_symmetric` on :func:`squared_momentum`,
+whose blocks are Gram products of the same W) is kept as the independent
+reference.  The opposite pairs and the zero mode at
 odd order are structural too, and W has full rank by Cauchy's determinant
 formula, so :func:`spectrum_pairing` computes nothing.
 """
@@ -23,7 +24,6 @@ formula, so :func:`spectrum_pairing` computes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "NearInteger",
     "eigen_symmetric",
     "singular_spectrum",
+    "singular_spectra",
     "squared_momentum",
     "spectrum_pairing",
     "near_integer_check",
@@ -125,6 +126,14 @@ def _degeneracy_groups(values: np.ndarray, tol: float) -> tuple[tuple[float, int
     return tuple(groups)
 
 
+def _check_residual(worst: float, norm: float) -> None:
+    """Raise ArithmeticError unless the worst eigen-residual is within tolerance."""
+    if worst > _RESIDUAL_TOL * norm:
+        raise ArithmeticError(
+            f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||M||"
+        )
+
+
 def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
@@ -141,11 +150,7 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
     values, vectors = np.linalg.eigh(mat)
     norm = max(abs(float(values[0])), abs(float(values[-1])), 1e-300)
     residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
-    worst = float(residuals.max())
-    if worst > _RESIDUAL_TOL * norm:
-        raise ArithmeticError(
-            f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||M||"
-        )
+    _check_residual(float(residuals.max()), norm)
     return SpectrumReport(
         order=mat.shape[0],
         eigenvalues=values,
@@ -166,36 +171,31 @@ _EPS = float(np.finfo(float).eps)
 class _Factored(NamedTuple):
     """What one residual-checked SVD of W(p, q) leaves behind, all O(p + q).
 
-    ``squares`` are the squared singular values, ascending, ``worst`` the
-    largest two-sided residual and ``scale`` sigma_max.  ``columns`` and
+    ``squares`` are the squared singular values, ascending.  ``columns`` and
     ``rows`` describe W^T W = V diag(poles) V^T and W W^T = U diag(poles) U^T
     (zeros first, then ``squares``) as (poles, the last ``_TAIL_ROWS`` rows of
     V or U with their columns in the same order).
     """
 
     squares: np.ndarray
-    worst: float
-    scale: float
     columns: tuple[np.ndarray, np.ndarray]
     rows: tuple[np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=8)
 def _block_svd(p: int, q: int) -> _Factored:
-    """Squared singular values of W(p, q), ascending, with their residual.
+    """Squared singular values of W(p, q), ascending, residual-checked.
 
-    ``worst`` is the largest two-sided residual max(||W v - sigma u||,
-    ||W^T u - sigma v||) over the singular triples and ``scale`` is
-    sigma_max.  For the symmetric matrix [[0, W], [W^T, 0]], whose eigenpairs
-    are +/-sigma with eigenvectors (u, +/-v)/sqrt(2), this is the
-    eigen-residual against its norm.  The SVD is taken with full U and V so
-    that the Gram matrices' null vectors are among the kept rows.  Only
-    O(p + q) values are cached; callers compare the residual with the
-    tolerance.
+    Raises ArithmeticError when the largest two-sided residual
+    max(||W v - sigma u||, ||W^T u - sigma v||) over the singular triples
+    exceeds the tolerance times sigma_max.  For the symmetric matrix
+    [[0, W], [W^T, 0]], whose eigenpairs are +/-sigma with eigenvectors
+    (u, +/-v)/sqrt(2), this is the eigen-residual against its norm.  The SVD
+    is taken with full U and V so that the Gram matrices' null vectors are
+    among the kept rows; only O(p + q) values of them are returned.
     """
     if min(p, q) == 0:
         empty = (np.zeros(0), np.zeros((0, 0)))
-        return _Factored(np.zeros(0), 0.0, 1.0, empty, empty)
+        return _Factored(np.zeros(0), empty, empty)
     w = _w_block(p, q)
     u, sigma, vt = np.linalg.svd(w)
     k = sigma.size
@@ -203,50 +203,22 @@ def _block_svd(p: int, q: int) -> _Factored:
     left = np.linalg.norm(w @ v - u[:, :k] * sigma, axis=0)
     right = np.linalg.norm(w.T @ u[:, :k] - v * sigma, axis=0)
     worst = float(max(left.max(), right.max()))
+    _check_residual(worst, max(float(sigma[0]), 1e-300))
     squares = (sigma * sigma)[::-1].copy()
-    squares.flags.writeable = False
     columns = (
         np.concatenate([np.zeros(q - k), squares]),
         vt[::-1, -_TAIL_ROWS:].T.copy(),
     )
     rows = (np.concatenate([np.zeros(p - k), squares]), u[-_TAIL_ROWS:, ::-1].copy())
-    return _Factored(squares, worst, max(float(sigma[0]), 1e-300), columns, rows)
+    return _Factored(squares, columns, rows)
 
 
-def _reaches(base: tuple[int, int], p: int, q: int) -> bool:
-    """Whether W(p, q) is W(base) less at most ``_TAIL_ROWS`` trailing rows or
-    columns, with at most one zero among the poles the deletion sees."""
-    big_p, big_q = base
-    return abs(big_p - big_q) <= 1 and (
-        (p == big_p and big_q - _TAIL_ROWS <= q <= big_q)
-        or (q == big_q and big_p - _TAIL_ROWS <= p <= big_p)
-    )
-
-
-def _block_squares(p: int, q: int, base: tuple[int, int]) -> np.ndarray:
-    """Verified squared singular values of W(p, q), ascending (read-only).
-
-    Derived from the SVD of W(base) when :func:`_reaches` says so, otherwise
-    taken from an SVD of W(p, q) itself; either way the factored block's
-    residual check must pass.
-    """
-    if not _reaches(base, p, q):
-        base = (p, q)
-    factored = _block_svd(*base)
-    if factored.worst > _RESIDUAL_TOL * factored.scale:
-        raise ArithmeticError(
-            f"eigensolve residual {factored.worst:.3e} exceeds "
-            f"{_RESIDUAL_TOL:.0e} * ||M||"
-        )
-    if base == (p, q):
-        return factored.squares
-    return _derived_squares(base, p, q)
-
-
-@lru_cache(maxsize=8)
 @np.errstate(divide="ignore", invalid="ignore")  # a bad root fails its bracket
-def _derived_squares(base: tuple[int, int], p: int, q: int) -> np.ndarray:
-    """Squared singular values of W(p, q), derived from the factored W(base).
+def _derived_squares(factored: _Factored, p: int, q: int) -> np.ndarray:
+    """Squared singular values of W(p, q), derived from a factored W(P, Q).
+
+    W(p, q) is W(P, Q) less its Q - q > 0 trailing columns, or less its
+    P - p > 0 trailing rows (at most ``_TAIL_ROWS`` of either).
 
     Deleting the trailing column of W deletes the trailing row and column of
     W^T W = V diag(poles) V^T, whose remaining eigenvalues are the roots of
@@ -259,18 +231,17 @@ def _derived_squares(base: tuple[int, int], p: int, q: int) -> np.ndarray:
     (diag(poles) - mu_k)^-1 v, normalized, which give the next row's weights
     in O(n^2) without forming an eigenvector matrix.
     """
-    factored = _block_svd(*base)
-    if q < base[1]:
-        (poles, tail), count = factored.columns, base[1] - q
+    poles, tail = factored.columns
+    if q < poles.size:
+        tail = tail[q - poles.size :]
     else:
-        (poles, tail), count = factored.rows, base[0] - p
-    tail = tail[-count:]
+        poles, tail = factored.rows
+        tail = tail[p - poles.size :]
     while len(tail):
         last, tail = tail[-1], tail[:-1]
         origin, tau, _ = _secular_roots(poles, last * last)
         tail = _next_rows(tail, poles, last, origin, tau)
         poles = origin + tau
-    poles.flags.writeable = False
     return poles
 
 
@@ -393,62 +364,80 @@ def _next_rows(
 
 
 def _check_deleted_tail(build_order: int, deleted_tail: int) -> int:
-    if (
-        not isinstance(deleted_tail, (int, np.integer))
-        or isinstance(deleted_tail, bool)
-        or deleted_tail < 0
-    ):
-        raise ValueError(f"deleted_tail must be a nonnegative integer, got {deleted_tail!r}")
+    deleted_tail = _check_index(deleted_tail, "deleted_tail", least=0)
     if deleted_tail >= build_order:
         raise ValueError(
             f"deleted_tail must be < build_order ({build_order}), got {deleted_tail}"
         )
-    return int(deleted_tail)
+    return deleted_tail
 
 
-def singular_spectrum(
-    order: int, deleted_tail: int = 0, *, base_order: int | None = None
-) -> np.ndarray:
-    """Eigenvalues of the squared truncation, ascending, from blocks of W.
+def singular_spectra(requests: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Eigenvalues of squared truncations, ascending, one array per request.
 
-    The square of order N is built, then its ``deleted_tail`` = d trailing
-    rows and columns are deleted, keeping K = N - d labels (d = 0 is the
-    complete square).  Its odd block is W(ceil(K/2), floor(N/2)) times its
-    transpose and its even block is W(ceil(N/2), floor(K/2))^T times itself,
-    so the spectrum is the union of their squared singular values, each
-    block padded with zeros to its order.  At d = 0 that is every sigma^2
-    of W(ceil(N/2), floor(N/2)) twice, plus one zero at odd N.
+    A request (N, d) builds the square of order N and deletes its d trailing
+    rows and columns, keeping K = N - d labels (d = 0 is the complete
+    square).  Its odd block is W(ceil(K/2), floor(N/2)) times its transpose
+    and its even block is W(ceil(N/2), floor(K/2))^T times itself, so the
+    spectrum is the union of their squared singular values, each block
+    padded with zeros to its order.  At d = 0 that is every sigma^2 of
+    W(ceil(N/2), floor(N/2)) twice, plus one zero at odd N.
 
-    One SVD serves every block within two deleted rows or columns of the
-    block W(ceil(B/2), floor(B/2)) of ``base_order`` = B (default N): such
-    blocks are derived from it by secular equations in O(N^2)
-    (:func:`_derived_squares`), which covers d <= 3 and, with B = N + 1, the
-    complete square of the next smaller order.  Other blocks get their own
-    SVD.  Values agree with ``eigen_symmetric(truncate_after_squaring(N, d))``
-    to within a few times 1e-15 ||B||.  Every factored block passes the
-    residual check max(||W v - sigma u||, ||W^T u - sigma v||) <= 1e-8
-    sigma_max and every derived value a sign check of its secular equation
-    at both ends of its bracket; otherwise ArithmeticError is raised.  No
-    order-N array is built, and the values of recent blocks are cached
-    (O(N) each).
+    The call factors W(P, Q) = W(ceil(B/2), floor(B/2)), for B the largest
+    requested order, at most once.  Every block with up to two fewer rows,
+    or up to two fewer columns, is derived from that SVD by secular
+    equations in O(B^2) (:func:`_derived_squares`); that covers d <= 3 at
+    order B and the complete square of order B - 1.  Every other distinct
+    block gets one SVD of its own.  Nothing is kept between calls.  Values
+    agree with ``eigen_symmetric(truncate_after_squaring(N, d))`` to within
+    a few times 1e-15 ||B||.  Every factored block passes the residual check
+    max(||W v - sigma u||, ||W^T u - sigma v||) <= 1e-8 sigma_max and every
+    derived value a sign check of its secular equation at both ends of its
+    bracket; otherwise ArithmeticError is raised.  No order-N array is built.
     """
-    order = _check_index(order, "order")
-    keep = order - _check_deleted_tail(order, deleted_tail)
-    base = _check_index(order if base_order is None else base_order, "base_order")
-    block = ((base + 1) // 2, base // 2)
-    odd = _block_squares((keep + 1) // 2, order // 2, block)
-    even = _block_squares((order + 1) // 2, keep // 2, block)
-    zeros = np.zeros(keep - odd.size - even.size)
-    return np.sort(np.concatenate([zeros, odd, even]))
+    kept = []
+    for order, deleted_tail in requests:
+        order = _check_index(order, "order")
+        kept.append((order, order - _check_deleted_tail(order, deleted_tail)))
+    largest = max((order for order, _ in kept), default=0)
+    big_p, big_q = base = ((largest + 1) // 2, largest // 2)
+    blocks = [
+        (((keep + 1) // 2, order // 2), ((order + 1) // 2, keep // 2))
+        for order, keep in kept
+    ]
+    distinct = set().union(*blocks)
+    near = {
+        (p, q)
+        for p, q in distinct
+        if (p == big_p and big_q - _TAIL_ROWS <= q <= big_q)
+        or (q == big_q and big_p - _TAIL_ROWS <= p <= big_p)
+    }
+    squares = {block: _block_svd(*block).squares for block in distinct - near}
+    if near:
+        factored = _block_svd(*base)
+        squares[base] = factored.squares
+        for block in near - {base}:
+            squares[block] = _derived_squares(factored, *block)
+    spectra = []
+    for (_, keep), (odd, even) in zip(kept, blocks):
+        odd, even = squares[odd], squares[even]
+        zeros = np.zeros(keep - odd.size - even.size)
+        spectra.append(np.sort(np.concatenate([zeros, odd, even])))
+    return spectra
+
+
+def singular_spectrum(order: int, deleted_tail: int = 0) -> np.ndarray:
+    """``singular_spectra([(order, deleted_tail)])[0]``: one request's spectrum."""
+    return singular_spectra([(order, deleted_tail)])[0]
 
 
 def dense_bytes(sizes: list[int]) -> int:
     """Bytes the spectra at these orders may hold at once, estimated.
 
-    One order is solved at a time and only O(N) values are cached, so the
-    estimate is that of the largest order: ``_BLOCK_ARRAYS`` float64 arrays
-    of ceil(N/2)^2 entries for the SVD of W and its residual check.  The
-    blocks derived from that SVD add no array of that size.
+    Blocks are factored one at a time and only O(N) values of each are
+    kept, so the estimate is that of the largest order: ``_BLOCK_ARRAYS``
+    float64 arrays of ceil(N/2)^2 entries for the SVD of W and its residual
+    check.  The blocks derived from that SVD add no array of that size.
     Computed from the orders alone, before anything is allocated.
     """
     half = (max(sizes, default=0) + 1) // 2
@@ -506,14 +495,13 @@ def near_integer_check(size: int) -> list[NearInteger]:
     integers whose parity is opposite to that of the truncation order; the
     low-lying ones are within 0.01 for orders around 1000.  Returns one
     record per opposite pair +/-sigma, that is per singular value sigma of
-    W(ceil(N/2), floor(N/2)) (see :func:`singular_spectrum`): floor(N/2)
+    W(ceil(N/2), floor(N/2)) (see :func:`singular_spectra`): floor(N/2)
     records, ascending in sigma.
     """
     size = _check_index(size, "size")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    block = ((size + 1) // 2, size // 2)
-    magnitudes = np.sqrt(_block_squares(*block, block))
+    magnitudes = np.sqrt(_block_svd((size + 1) // 2, size // 2).squares)
     odd_targets = size % 2 == 0
     records = []
     for magnitude in magnitudes.tolist():
@@ -555,13 +543,11 @@ def repair_convergence(
     build_order = _check_index(build_order, "build_order")
     if not deleted_tails:
         raise ValueError("deleted_tails must be nonempty")
-    if max(deleted_tails) >= build_order:
-        raise ValueError("every deleted_tail must be < build_order")
     if build_order - max(deleted_tails) < 10:
         raise ValueError("need at least 10 surviving rows to compare eigenvalues")
     exact = np.arange(1.0, 11.0) ** 2
-    series = []
-    for d in deleted_tails:
-        lowest = singular_spectrum(build_order, d)[:10]
-        series.append((int(d), float(np.max(np.abs(lowest - exact) / exact))))
-    return series
+    found = singular_spectra([(build_order, d) for d in deleted_tails])
+    return [
+        (int(d), float(np.max(np.abs(values[:10] - exact) / exact)))
+        for d, values in zip(deleted_tails, found)
+    ]

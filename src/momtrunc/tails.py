@@ -103,14 +103,6 @@ def tail_approximation(size: int, k_max: int) -> float:
     return column + row
 
 
-def _check_k_max(k_max: int) -> int:
-    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool):
-        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    return int(k_max)
-
-
 def telescoping_sum(k_max: int) -> float:
     """Partial sum sum_{k=0}^{k_max} 1/(4 k^2 - 1).
 
@@ -118,14 +110,14 @@ def telescoping_sum(k_max: int) -> float:
     1/2 + telescoping_sum(k_max) therefore vanishes at exactly that rate,
     which is what makes the scaled near-boundary combination vanish.
     """
-    k_max = _check_k_max(k_max)
+    k_max = _check_index(k_max, "k_max", least=0)
     k = np.arange(0.0, float(k_max) + 1.0)
     return _fsum(1.0 / (4.0 * k**2 - 1.0))
 
 
 def telescoping_closed_form(k_max: int) -> float:
     """Closed form of :func:`telescoping_sum`."""
-    k_max = _check_k_max(k_max)
+    k_max = _check_index(k_max, "k_max", least=0)
     return -0.5 - 0.5 / (2.0 * k_max + 1.0)
 
 

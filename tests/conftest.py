@@ -1,10 +1,27 @@
-"""Shared frozen reference data for the test suite.
+"""Shared frozen reference data and fixtures for the test suite.
 
 Values are stored as printed strings; the matching tolerance is half a unit
 in the last printed decimal place, derived from the string itself.
 """
 
 from __future__ import annotations
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
 
 # (m, n) -> {size: printed triple product, "target": printed limit}
 TABLE1 = {

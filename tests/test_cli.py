@@ -157,21 +157,11 @@ class TestOtherCommands:
         ],
     )
     def test_table2_factors_only_blocks_it_cannot_derive(
-        self, sizes, delete_tail, svds, monkeypatch
+        self, sizes, delete_tail, svds, svd_calls
     ):
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        spectra._block_svd.cache_clear()
-        spectra._derived_squares.cache_clear()
         args = ["table2", "--sizes", sizes, "--delete-tail", delete_tail]
         assert run_cli(args + ["--out", os.devnull]) == 0
-        assert len(calls) == svds, calls
+        assert len(svd_calls) == svds, svd_calls
 
     def test_spectrum_pairs_takes_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -241,6 +231,23 @@ class TestConfigAndErrors:
         assert run_cli([command, "--config", str(cfg)]) == 2
         assert f"config keys {command} does not read" in capsys.readouterr().err
 
+    def test_unread_flag_is_reported_with_the_subcommand_usage(self, capsys):
+        assert run_cli(["table2", "--pairs", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: momtrunc table2 ")
+        assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("command", list(cli.EXPERIMENTS))
+    def test_json_config_echo_reproduces_the_report(self, command, tmp_path, capsys):
+        assert run_cli([command, "--format", "json"]) == 0
+        report = capsys.readouterr().out
+        echo = json.loads(report)["config"]
+        assert "out" not in echo
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(echo), encoding="utf-8")
+        assert run_cli([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == report
+
     def test_unwritable_output_is_runtime_error(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
         code = run_cli(
@@ -266,7 +273,6 @@ class TestConfigAndErrors:
         monkeypatch.setattr(
             spectra, "_reciprocals", lambda shifted, tau: -reciprocals(shifted, tau)
         )
-        spectra._derived_squares.cache_clear()
         assert run_cli(["table2", "--sizes", "9,10", "--delete-tail", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("momtrunc: error: secular equation: no checked bracket")
@@ -425,7 +431,7 @@ class TestExitCodes:
         def fail(*args):
             raise error("no convergence")
 
-        monkeypatch.setattr(spectra, "singular_spectrum", fail)
+        monkeypatch.setattr(spectra, "singular_spectra", fail)
         assert run_cli(["table2", "--sizes", "9,10"]) == 1
         assert capsys.readouterr().err == "momtrunc: error: no convergence\n"
 

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momtrunc import spectra
-from momtrunc.operator import momentum_array, momentum_entry
+from momtrunc.operator import _w_block, momentum_array, momentum_entry
 from momtrunc.spectra import (
     eigen_symmetric,
     near_integer_check,
     repair_convergence,
+    singular_spectra,
     singular_spectrum,
     spectrum_pairing,
     squared_momentum,
@@ -231,11 +232,7 @@ class TestNearInteger:
     def test_small_singular_values_are_kept(self, monkeypatch):
         # sigma^2 spans 1e-10 of the largest: no relative cut may drop it.
         monkeypatch.setattr(spectra, "_w_block", lambda p, q: np.diag([1e-5, 1.0]))
-        spectra._block_svd.cache_clear()
-        try:
-            records = near_integer_check(4)
-        finally:
-            spectra._block_svd.cache_clear()
+        records = near_integer_check(4)
         assert [r.magnitude for r in records] == pytest.approx([1e-5, 1.0], rel=1e-12)
 
 
@@ -280,6 +277,10 @@ class TestRepair:
         # without deletion the doubled eigenvalues sit far from 1, 4, 9, ...
         assert err0 > 0.5
         assert err1 < 0.1
+
+    def test_takes_one_svd_for_nearby_deletions(self, svd_calls):
+        repair_convergence(200, [1, 2, 3])
+        assert len(svd_calls) == 1, svd_calls
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -351,13 +352,12 @@ class TestSingularSpectrum:
         "order, deleted_tail",
         [(order, d) for order in (999, 1000) for d in range(4)] + [(2000, 3)],
     )
-    def test_derived_blocks_match_their_own_svd(self, order, deleted_tail):
+    def test_derived_blocks_match_their_own_svd(self, order, deleted_tail, svd_calls):
         # At d = 0 the complete square comes from the next order's block, as
         # table2 takes it.
-        base_order = order + 1 if deleted_tail == 0 else order
-        spectra._derived_squares.cache_clear()
-        derived = singular_spectrum(order, deleted_tail, base_order=base_order)
-        assert spectra._derived_squares.cache_info().currsize >= 1
+        nearby = [(order + 1, 0)] if deleted_tail == 0 else []
+        derived = singular_spectra([(order, deleted_tail)] + nearby)[0]
+        assert len(svd_calls) == 1, svd_calls
         blocks = blocks_of(order, deleted_tail)
         direct = [spectra._block_svd(p, q).squares for p, q in blocks]
         zeros = np.zeros(order - deleted_tail - sum(block.size for block in direct))
@@ -373,7 +373,7 @@ class TestSingularSpectrum:
             (factored.rows, [(p - 1, q), (p - 2, q)]),
         ):
             for block in blocks:
-                values = spectra._block_squares(*block, base)
+                values = spectra._derived_squares(factored, *block)
                 assert values.size == poles.size - 1
                 assert np.all(poles[:-1] < values) and np.all(values < poles[1:])
                 poles = values
@@ -415,8 +415,13 @@ class TestSingularSpectrum:
             singular_spectrum(10, 10)
         with pytest.raises(ValueError):
             singular_spectrum(10, -1)
-        with pytest.raises(ValueError):
-            singular_spectrum(10, base_order=0)
+
+    def test_no_state_is_kept_between_calls(self, monkeypatch):
+        singular_spectrum(12)
+        monkeypatch.setattr(spectra, "_w_block", lambda p, q: 2.0 * _w_block(p, q))
+        scaled = singular_spectrum(12)
+        monkeypatch.undo()
+        assert np.allclose(scaled, 4.0 * singular_spectrum(12), rtol=1e-14, atol=0.0)
 
     def test_rejects_boolean_deletion(self):
         with pytest.raises(ValueError):
@@ -425,7 +430,7 @@ class TestSingularSpectrum:
             truncate_after_squaring(10, True)
 
     def test_residual_is_checked_on_cached_blocks(self, monkeypatch):
-        singular_spectrum(12)  # the block's values are now cached
+        singular_spectrum(12)  # a block factored before is factored again
         monkeypatch.setattr(spectra, "_RESIDUAL_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="eigensolve residual"):
             singular_spectrum(12)
