@@ -7,12 +7,16 @@ reports are a single object with the experiment name, a config echo (the
 keys the command reads, which ``--config`` accepts back), column names and
 full-precision rows.
 
+A command reads the flags it lists, and a ``--config`` JSON file may set
+the same keys, ``pairs`` and ``sizes`` as the flag's string or as JSON
+lists.  Each source is checked on its own, and flags win; a config
+``null`` means stdout for ``out`` and is refused for every other key.
+
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or sizes whose arrays would exceed a fixed
-memory limit), found by this module's own checks before the library
-could reject the input; 1 runtime failure (an unwritable output path, a
-failed eigensolve residual check, or any other error the library raises),
-reported as one ``momtrunc: error:`` line.
+memory limit), decided before any computation; 1 runtime failure (an
+unwritable output path, a failed eigensolve residual check, or any other
+error the library raises), reported as one ``momtrunc: error:`` line.
 """
 
 from __future__ import annotations
@@ -59,47 +63,6 @@ _LINEAR_BYTES_PER_LABEL = 64
 # to it m^2 is exact in float64, so every closed-form evaluation of a_mn
 # agrees bit for bit.
 _MAX_LABEL = _MAX_DENSE_BYTES // _LINEAR_BYTES_PER_LABEL
-# argparse keywords of the flags a command may take; a config file may set
-# the key of each flag the command takes, and the flag wins over it.
-_FLAGS: dict[str, dict[str, Any]] = {
-    "pairs": {"help": "pairs as 'm,n;m,n' (1-based labels)"},
-    "sizes": {"help": "truncation sizes as 'N1,N2,...' (ascending)"},
-    "delete_tail": {
-        "type": int,
-        "help": "rows/columns to delete from the largest squared matrix",
-    },
-    "format": {"choices": ["csv", "json"], "help": "output format"},
-    "out": {"help": "output path (default: stdout)"},
-}
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for chunk in filter(None, map(str.strip, text.split(";"))):
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 2:
-            raise UsageError(f"bad pair {chunk!r}: expected 'm,n'")
-        try:
-            m, n = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise UsageError(f"bad pair {chunk!r}: {exc}") from exc
-        if m < 1 or n < 1:
-            raise UsageError(f"pair indices must be >= 1, got {chunk!r}")
-        pairs.append((m, n))
-    return pairs
-
-
-def _parse_sizes(text: str) -> list[int]:
-    sizes = []
-    for chunk in filter(None, map(str.strip, text.split(","))):
-        try:
-            value = int(chunk)
-        except ValueError as exc:
-            raise UsageError(f"bad size {chunk!r}: {exc}") from exc
-        if value < 1:
-            raise UsageError(f"sizes must be >= 1, got {value}")
-        sizes.append(value)
-    return sizes
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -119,82 +82,99 @@ def _is_count(value: Any, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _number(text: str) -> int | str:
+    """``text`` as an integer, or as it is for the reader to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _read_pairs(value: Any) -> list[tuple[int, int]]:
-    """Pairs from a flag's 'm,n;m,n' string or a config file's string or list."""
+    """Pairs from 'm,n;m,n' or [[m, n], ...]."""
     if isinstance(value, str):
-        pairs = _parse_pairs(value)
-    elif isinstance(value, list):
-        pairs = []
-        for item in value:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise UsageError(f"config pairs entries must be [m, n], got {item!r}")
-            m, n = item
-            if not (_is_count(m, 1) and _is_count(n, 1)):
-                raise UsageError(f"pair indices must be integers >= 1, got {item!r}")
-            pairs.append((m, n))
-    else:
-        raise UsageError(
-            f"config pairs must be a list or 'm,n;m,n' string, got {value!r}"
-        )
-    for pair in pairs:
+        chunks = filter(str.strip, value.split(";"))
+        value = [list(map(_number, chunk.split(","))) for chunk in chunks]
+    if not isinstance(value, list):
+        raise UsageError(f"pairs must be a list or 'm,n;m,n' string, got {value!r}")
+    for pair in value:
+        shaped = isinstance(pair, list) and len(pair) == 2
+        if not (shaped and all(_is_count(label, 1) for label in pair)):
+            raise UsageError(f"pairs must be m,n with labels >= 1, got {pair!r}")
         if max(pair) > _MAX_LABEL:
-            raise UsageError(f"pair labels must be <= {_MAX_LABEL}, got {pair}")
-    return pairs
+            raise UsageError(f"pair labels must be <= {_MAX_LABEL}, got {tuple(pair)}")
+    return [tuple(pair) for pair in value]
 
 
 def _read_sizes(value: Any) -> list[int]:
-    """Sizes from a flag's 'N1,N2' string or a config file's string or list."""
+    """Sizes from 'N1,N2,...' or [N1, N2, ...]."""
     if isinstance(value, str):
-        return _parse_sizes(value)
-    if isinstance(value, list) and all(_is_count(v, 1) for v in value):
+        value = [_number(size) for size in value.split(",") if size.strip()]
+    if isinstance(value, list) and all(_is_count(size, 1) for size in value):
         return value
-    raise UsageError(f"config sizes must be positive integers, got {value!r}")
+    raise UsageError(f"sizes must be integers >= 1, got {value!r}")
+
+
+def _read_delete_tail(value: Any) -> int:
+    if _is_count(value, 0):
+        return value
+    raise UsageError(f"delete_tail must be a nonnegative integer, got {value!r}")
+
+
+def _read_format(value: Any) -> str:
+    if value in ("csv", "json"):
+        return value
+    raise UsageError(f"format must be 'csv' or 'json', got {value!r}")
+
+
+def _read_out(value: Any) -> str | None:
+    if value is None or isinstance(value, str):
+        return value
+    raise UsageError(f"out must be a path string or null, got {value!r}")
+
+
+# Per key: the reader that checks and types a flag's or a config file's
+# value, and the flag's argparse keywords.
+_KEYS: dict[str, tuple[Callable[[Any], Any], dict[str, Any]]] = {
+    "pairs": (_read_pairs, {"help": "pairs as 'm,n;m,n' (1-based labels)"}),
+    "sizes": (_read_sizes, {"help": "truncation sizes as 'N1,N2,...' (ascending)"}),
+    "delete_tail": (
+        _read_delete_tail,
+        {"type": int, "help": "rows/columns to delete from the largest squared matrix"},
+    ),
+    "format": (_read_format, {"choices": ["csv", "json"], "help": "output format"}),
+    "out": (_read_out, {"help": "output path (default: stdout)"}),
+}
 
 
 def _assemble_config(args: argparse.Namespace) -> ReportConfig:
     command = args.command
     experiment = EXPERIMENTS[command]
-    keys = experiment.keys
     file_cfg = _load_config_file(args.config) if args.config else {}
-    unread = set(file_cfg) - set(keys)
+    unread = set(file_cfg) - set(experiment.keys)
     if unread:
         raise UsageError(f"config keys {command} does not read: {sorted(unread)}")
-    flags = {key: getattr(args, key) for key in keys}
-    flags = {key: value for key, value in flags.items() if value is not None}
+    # argparse gives None for an absent flag.
+    flags = {k: v for k in experiment.keys if (v := getattr(args, k)) is not None}
 
-    # Pairs and sizes are checked as each source gives them; flags win.
-    pairs, sizes = list(experiment.pairs), list(experiment.sizes)
+    # Each source's values are checked as it gives them; flags win.
+    values = {
+        "pairs": list(experiment.pairs),
+        "sizes": list(experiment.sizes),
+        "delete_tail": experiment.delete_tail or 0,
+    }
     for given in (file_cfg, flags):
-        if "pairs" in given:
-            pairs = _read_pairs(given["pairs"])
-        if "sizes" in given:
-            sizes = _read_sizes(given["sizes"])
-    values = {**file_cfg, **flags}
-    cfg = ReportConfig(
-        command=command,
-        pairs=pairs,
-        sizes=sizes,
-        delete_tail=values.get("delete_tail", experiment.delete_tail or 0),
-        format=values.get("format", "csv"),
-        out=values.get("out"),
-    )
+        values.update({key: _KEYS[key][0](value) for key, value in given.items()})
+    cfg = ReportConfig(command=command, **values)
 
-    if not _is_count(cfg.delete_tail, 0):
-        raise UsageError(
-            f"delete_tail must be a nonnegative integer, got {cfg.delete_tail!r}"
-        )
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"format must be 'csv' or 'json', got {cfg.format!r}")
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise UsageError(f"out must be a path string, got {cfg.out!r}")
     # A command needs the inputs it has defaults for.
-    if experiment.pairs and not pairs:
+    if experiment.pairs and not cfg.pairs:
         raise UsageError(f"{command} requires at least one pair")
     if experiment.sizes:
-        if not sizes:
+        if not cfg.sizes:
             raise UsageError(f"{command} requires at least one size")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise UsageError(f"sizes must be strictly ascending, got {sizes}")
+        if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
+            raise UsageError(f"sizes must be strictly ascending, got {cfg.sizes}")
     return cfg
 
 
@@ -240,13 +220,19 @@ Report = tuple[Columns, list[Row]]
 _LABELS: Columns = [("m", ""), ("n", ""), ("size", "")]
 
 
+def _check_sizes_cover_pairs(cfg: ReportConfig) -> None:
+    """Refuse a pair with a label above the smallest (first) size."""
+    for m, n in cfg.pairs:
+        if cfg.sizes[0] < max(m, n):
+            raise UsageError(f"size {cfg.sizes[0]} is smaller than pair ({m},{n})")
+
+
 def _run_table1(cfg: ReportConfig) -> Report:
+    _check_sizes_cover_pairs(cfg)
     rows: list[Row] = []
     for m, n in cfg.pairs:
         target = p3_hermitian_entry(m, n)
         for size in cfg.sizes:
-            if size < max(m, n):
-                raise UsageError(f"size {size} is smaller than pair ({m},{n})")
             value = products.triple_product_sum(m, n, size)
             rows.append([m, n, size, value, target, abs(value - target)])
     columns = _LABELS + [
@@ -306,11 +292,8 @@ def _run_assoc(cfg: ReportConfig) -> Report:
 def _run_diverge(cfg: ReportConfig) -> Report:
     for m, n in cfg.pairs:
         if (m + n) % 2 == 1:
-            raise UsageError(
-                f"diverge requires same-parity pairs, got ({m},{n})"
-            )
-        if cfg.sizes[0] < max(m, n):
-            raise UsageError(f"size {cfg.sizes[0]} is smaller than pair ({m},{n})")
+            raise UsageError(f"diverge requires same-parity pairs, got ({m},{n})")
+    _check_sizes_cover_pairs(cfg)
     rows = []
     for m, n in cfg.pairs:
         exact = float(m * m * n * n) if m == n else 0.0
@@ -335,17 +318,18 @@ def _run_diverge(cfg: ReportConfig) -> Report:
 
 
 def _run_tails(cfg: ReportConfig) -> Report:
+    grid = [(m, n, size) for m, n in cfg.pairs for size in cfg.sizes]
+    for m, n, size in grid:
+        if m % 2 == 0 or n % 2 == 1 or size % 2 == 1 or size < 10 * (m + n):
+            raise UsageError(
+                f"tails requires odd m, even n and an even size >= 10 (m + n), "
+                f"got ({m},{n}) at size {size}"
+            )
     rows = []
-    for m, n in cfg.pairs:
-        for size in cfg.sizes:
-            if m % 2 == 0 or n % 2 == 1 or size % 2 == 1 or size < 10 * (m + n):
-                raise UsageError(
-                    f"tails requires odd m, even n and an even size >= 10 (m + n), "
-                    f"got ({m},{n}) at size {size}"
-                )
-            estimate = tails.tail_estimate(m, n, size)
-            stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
-            rows.append([m, n, size, size // 10, *stages])
+    for m, n, size in grid:
+        estimate = tails.tail_estimate(m, n, size)
+        stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
+        rows.append([m, n, size, size // 10, *stages])
     columns = _LABELS + [
         ("k_max", ""), ("exact", ".6e"), ("near_boundary", ".6e"), ("telescoped", ".6e")
     ]
@@ -488,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, experiment in EXPERIMENTS.items():
         cmd = sub.add_parser(name, help=experiment.help, description=experiment.help)
         for key in experiment.keys:
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, **_KEYS[key][1])
         cmd.add_argument("--config", help="JSON config file; flags win over its values")
         cmd.set_defaults(command_parser=cmd)
     return parser

@@ -492,28 +492,19 @@ def near_integer_check(size: int) -> list[NearInteger]:
     """Distance of each eigenvalue magnitude from opposite-parity integers.
 
     The positive eigenvalue magnitudes of the truncation sit close to
-    integers whose parity is opposite to that of the truncation order; the
-    low-lying ones are within 0.01 for orders around 1000.  Returns one
-    record per opposite pair +/-sigma, that is per singular value sigma of
-    W(ceil(N/2), floor(N/2)) (see :func:`singular_spectra`): floor(N/2)
-    records, ascending in sigma.
+    integers whose parity is opposite to that of the truncation order, with
+    an error that grows in proportion to the integer r: at order 1000 it is
+    about 1.67e-3 r (1.67e-3 at r = 1, 8.35e-3 at r = 5, 1.17e-2 at r = 7).
+    Returns one record per opposite pair +/-sigma, that is per singular
+    value sigma of W(ceil(N/2), floor(N/2)) (see :func:`singular_spectra`):
+    floor(N/2) records, ascending in sigma.
     """
     size = _check_index(size, "size")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    magnitudes = np.sqrt(_block_svd((size + 1) // 2, size // 2).squares)
-    odd_targets = size % 2 == 0
-    records = []
-    for magnitude in magnitudes.tolist():
-        reference = _nearest_with_parity(magnitude, odd_targets)
-        records.append(
-            NearInteger(
-                magnitude=magnitude,
-                reference=reference,
-                error=abs(magnitude - reference),
-            )
-        )
-    return records
+    magnitudes = np.sqrt(_block_svd((size + 1) // 2, size // 2).squares).tolist()
+    references = [_nearest_with_parity(x, size % 2 == 0) for x in magnitudes]
+    return [NearInteger(x, r, abs(x - r)) for x, r in zip(magnitudes, references)]
 
 
 def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMatrix:
@@ -522,8 +513,10 @@ def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMat
     ``deleted_tail`` rows and columns with the largest basis labels are
     removed from the squared matrix (labels in the original 1..build_order
     ordering).  With one deletion the surviving spectrum is nondegenerate
-    and close to the exact squares 1, 4, 9, ...; more deletions improve the
-    agreement further.
+    and close to the exact squares 1, 4, 9, ...: the ten lowest are within
+    a relative 3.34e-3 of them at build order 1000.  More deletions need
+    not narrow that error: it is 3.34e-3 again with two and 2.94e-3 with
+    three (see :func:`repair_convergence`).
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)
@@ -541,6 +534,7 @@ def repair_convergence(
     verify that on the returned series.
     """
     build_order = _check_index(build_order, "build_order")
+    deleted_tails = [_check_deleted_tail(build_order, d) for d in deleted_tails]
     if not deleted_tails:
         raise ValueError("deleted_tails must be nonempty")
     if build_order - max(deleted_tails) < 10:
@@ -548,6 +542,6 @@ def repair_convergence(
     exact = np.arange(1.0, 11.0) ** 2
     found = singular_spectra([(build_order, d) for d in deleted_tails])
     return [
-        (int(d), float(np.max(np.abs(values[:10] - exact) / exact)))
+        (d, float(np.max(np.abs(values[:10] - exact) / exact)))
         for d, values in zip(deleted_tails, found)
     ]

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from momtrunc import cli, operator, spectra
+from momtrunc import cli, operator, products, spectra, tails
 from momtrunc.cli import main
 
 
@@ -207,6 +207,14 @@ class TestConfigAndErrors:
         assert [(r["m"], r["n"]) for r in rows] == [("1", "2"), ("1", "2")]
         assert [r["size"] for r in rows] == ["50", "99"]
 
+    def test_config_file_takes_the_flag_strings(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairs": "1,2", "sizes": "50,99"}), encoding="utf-8")
+        assert run_cli(["table1", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert run_cli(["table1", "--pairs", "1,2", "--sizes", "50,99"]) == 0
+        assert capsys.readouterr().out == from_config
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pears": 1}), encoding="utf-8")
@@ -347,8 +355,47 @@ LABELS = st.integers(1, 4) | st.integers(1, 64)
 ANY_LABEL = st.integers(-1, 64)
 
 
+# A valid flag value for each key.
+OVERRIDES = {
+    "pairs": "1,2",
+    "sizes": "9,10",
+    "delete_tail": "1",
+    "format": "csv",
+    "out": os.devnull,
+}
+
+
 def _joined(items, sep):
     return sep.join(map(str, items))
+
+
+# Flag-like strings of small numbers, so that no drawn size is costly.
+FLAG_TEXT = st.lists(
+    st.tuples(
+        ANY_LABEL.map(str) | st.sampled_from(["", " ", "x", "1.5"]),
+        st.sampled_from([",", ";"]),
+    ),
+    max_size=4,
+).map(lambda parts: "".join(item + sep for item, sep in parts))
+JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), ANY_LABEL, FLAG_TEXT, st.just("json")),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+# Config values a command may accept, each in the forms a config file holds.
+ACCEPTABLE = {
+    "pairs": st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=2).flatmap(
+        lambda ps: st.sampled_from(
+            [[list(p) for p in ps], _joined((f"{m},{n}" for m, n in ps), ";")]
+        )
+    ),
+    "sizes": st.lists(LABELS, min_size=1, max_size=3, unique=True).flatmap(
+        lambda ss: st.sampled_from([sorted(ss), _joined(sorted(ss), ",")])
+    ),
+    "delete_tail": st.integers(0, 3),
+    "format": st.sampled_from(["csv", "json"]),
+    "out": st.none(),  # or a path the test gives
+}
 
 
 @st.composite
@@ -398,6 +445,40 @@ class TestExitCodes:
             assert err.getvalue().splitlines()[-1].startswith("momtrunc")
             assert "Traceback" not in err.getvalue()
 
+    @settings(
+        deadline=None,
+        max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_config_files_end_in_a_report_or_a_usage_error(self, data, tmp_path):
+        command = data.draw(st.sampled_from(COMMANDS))
+        report = tmp_path / "report"
+        config = {}
+        for key in cli.EXPERIMENTS[command].keys:
+            acceptable, anything = ACCEPTABLE[key], JSON_VALUE
+            if key == "out":
+                # An unwritable path is a runtime error, so out gets one path.
+                acceptable |= st.just(str(report))
+                anything = JSON_VALUE.filter(lambda value: not isinstance(value, str))
+            # Three to one for acceptable values, so that some runs end in a report.
+            choice = st.one_of(acceptable, acceptable, acceptable, anything)
+            config[key] = data.draw(choice, label=key)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        report.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli([command, "--config", str(path)])
+        if code == 0:
+            assert not err.getvalue()
+            text = report.read_text() if config["out"] else out.getvalue()
+            assert text
+        else:
+            assert code == 2, err.getvalue()
+            assert err.getvalue().startswith("momtrunc: error:"), err.getvalue()
+            assert err.getvalue().count("\n") == 1
+
     @pytest.mark.parametrize(
         "command, pairs, sizes",
         [
@@ -409,6 +490,29 @@ class TestExitCodes:
         ],
     )
     def test_inputs_the_library_rejects_are_usage_errors(self, command, pairs, sizes):
+        assert run_cli([command, "--pairs", pairs, "--sizes", sizes]) == 2
+
+    @pytest.mark.parametrize(
+        "command, pairs, sizes",
+        [
+            ("table1", "1,2;1,20", "10"),  # the first pair fits, the second not
+            ("diverge", "1,1;1,3", "2,4"),
+            ("tails", "1,2;2,2", "40"),  # the first pair is valid, the second not
+        ],
+    )
+    def test_refusals_come_before_any_computation(
+        self, command, pairs, sizes, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError(f"computed {args} before refusing")
+
+        for module, name in [
+            (products, "triple_product_sum"),
+            (products, "quad_power_entry"),
+            (products, "pp2p_partial_sum"),
+            (tails, "tail_estimate"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
         assert run_cli([command, "--pairs", pairs, "--sizes", sizes]) == 2
 
     def test_pair_labels_above_the_largest_size_are_usage_errors(self, tmp_path, capsys):
@@ -443,6 +547,8 @@ class TestExitCodes:
             {"pairs": [[1, True]]},
             {"delete_tail": False},
             {"out": 5},
+            {"delete_tail": 1.5},
+            {"format": "xml"},
         ],
     )
     def test_bad_config_values_are_usage_errors(self, config, tmp_path):
@@ -450,7 +556,13 @@ class TestExitCodes:
         command = "table1" if "pairs" in config else "table2"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert run_cli([command, "--config", str(path), "--sizes", "9,10"]) == 2
+        args = [command, "--config", str(path), "--sizes", "9,10"]
+        assert run_cli(args) == 2
+        # A flag for the same key does not hide the bad value.
+        [key] = config
+        if key in OVERRIDES:
+            flag = ["--" + key.replace("_", "-"), OVERRIDES[key]]
+            assert run_cli(args + flag) == 2
 
 
 def test_cli_imports_only_the_standard_library_and_numpy():

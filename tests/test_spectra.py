@@ -289,6 +289,10 @@ class TestRepair:
             repair_convergence(100, [100])
         with pytest.raises(ValueError):
             repair_convergence(15, [10])
+        with pytest.raises(ValueError):
+            repair_convergence(100, ["a"])
+        with pytest.raises(ValueError):
+            repair_convergence(100, [None])
 
 
 def blocks_of(order, deleted_tail):
