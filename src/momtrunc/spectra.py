@@ -10,15 +10,17 @@ In parity order the truncation is ``A = [[0, W], [-W^T, 0]]`` with
 ``W = a[odd labels, even labels]``, so the square's odd block is ``W W^T``
 and its even block ``W^T W``.  Every spectrum reported here is therefore a
 union of squared singular values of leading blocks of ``W``
-(:func:`singular_spectra`).  Within one call, one residual-checked SVD of
-the largest block serves every block within two deleted trailing rows or
-columns of it, whose values are the roots of secular equations in that
-SVD's last rows (Cauchy interlacing); nothing is kept between calls.  The
-dense eigensolve (:func:`eigen_symmetric` on :func:`squared_momentum`,
-whose blocks are Gram products of the same W) is kept as the independent
-reference.  The opposite pairs and the zero mode at
-odd order are structural too, and W has full rank by Cauchy's determinant
-formula, so :func:`spectrum_pairing` computes nothing.
+(:func:`singular_spectra`).  A block is factored by one eigensolve of its
+half-size Gram matrix, with Rayleigh quotients as values and its last rows
+corrected to first order, and residual-checked.  Within one call, the
+largest block's factorization serves every block within two deleted
+trailing rows or columns of it, whose values are the roots of secular
+equations in those last rows (Cauchy interlacing); nothing is kept between
+calls.  The dense eigensolve (:func:`eigen_symmetric` on
+:func:`squared_momentum`, whose blocks are Gram products of the same W) is
+kept as the independent reference.  The opposite pairs and the zero mode
+at odd order are structural too, and W has full rank by Cauchy's
+determinant formula, so :func:`spectrum_pairing` computes nothing.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ _SYMMETRY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 # Relative gap below which adjacent eigenvalues share a degeneracy group.
 _GROUPING_TOL = 1e-6
-# Peak float64 arrays of ceil(N/2)^2 entries live during one block SVD: W,
-# LAPACK's copy and workspace, the singular vectors and the residual
-# temporaries (measured for table2 with delete-tail 3: 9.2 at N = 2000 and
-# 9.0 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a margin).
-# Blocks derived from it add only _CHUNK x ceil(N/2) work arrays.
+# Peak float64 arrays of ceil(N/2)^2 entries live while one block is factored:
+# W, its Gram matrix, eigh's copy, workspace and eigenvectors (measured for
+# table2 with delete-tail 3: 6.5 at N = 2000 and 6.2 at N = 4000, above the
+# interpreter's own ~31 MiB; 12 keeps a margin).  Blocks derived from it add
+# only _CHUNK x ceil(N/2) work arrays.
 _BLOCK_ARRAYS = 12
 
 
@@ -162,19 +164,19 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
 # work arrays; and the cap on model steps per root (4 to 6 are typical).
 _CHUNK = 256
 _MAX_STEPS = 40
-# Trailing rows of U and V kept per factored block: derived blocks lie within
-# this many deleted rows or columns of it.
+# Trailing rows of U and V (W = U diag(sigma) V^T) kept per factored block:
+# derived blocks lie within this many deleted rows or columns of it.
 _TAIL_ROWS = 2
 _EPS = float(np.finfo(float).eps)
 
 
 class _Factored(NamedTuple):
-    """What one residual-checked SVD of W(p, q) leaves behind, all O(p + q).
+    """What :func:`_factor_block` leaves behind of W(p, q), all O(p + q).
 
     ``squares`` are the squared singular values, ascending.  ``columns`` and
     ``rows`` describe W^T W = V diag(poles) V^T and W W^T = U diag(poles) U^T
     (zeros first, then ``squares``) as (poles, the last ``_TAIL_ROWS`` rows of
-    V or U with their columns in the same order).
+    V or U with their columns in the same order), corrected to first order.
     """
 
     squares: np.ndarray
@@ -182,35 +184,48 @@ class _Factored(NamedTuple):
     rows: tuple[np.ndarray, np.ndarray]
 
 
-def _block_svd(p: int, q: int) -> _Factored:
+def _factor_block(p: int, q: int) -> _Factored:
     """Squared singular values of W(p, q), ascending, residual-checked.
 
-    Raises ArithmeticError when the largest two-sided residual
-    max(||W v - sigma u||, ||W^T u - sigma v||) over the singular triples
-    exceeds the tolerance times sigma_max.  For the symmetric matrix
-    [[0, W], [W^T, 0]], whose eigenpairs are +/-sigma with eigenvectors
-    (u, +/-v)/sqrt(2), this is the eigen-residual against its norm.  The SVD
-    is taken with full U and V so that the Gram matrices' null vectors are
-    among the kept rows; only O(p + q) values of them are returned.
+    T is W, or W^T when p > q, so that ``eigh`` of T^T T, of order max(p, q),
+    gives the basis B of the longer side, its |p - q| null vectors first.
+    Its eigenvalues are off by about eps ||W||^2, so each value is reported as
+    the Rayleigh quotient lambda_i = M_ii of M = X^T X, X = T B, whose error
+    is second order in B's (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    If B is the true basis rotated by I + A, M_ij = (lambda_i - lambda_j) A_ij,
+    so R_ij = M_ij / (lambda_i - lambda_j) corrects the kept tail rows to
+    first order: B's to B - B R, the other side's to (X - X R) / sigma.
+
+    Raises ArithmeticError when the largest residual ||T^T u - sigma b||,
+    u = T b / sigma, exceeds the tolerance times sigma_max: the eigen-residual
+    of [[0, W], [W^T, 0]], whose other side ||T b - sigma u|| is zero here.
     """
     if min(p, q) == 0:
         empty = (np.zeros(0), np.zeros((0, 0)))
         return _Factored(np.zeros(0), empty, empty)
-    w = _w_block(p, q)
-    u, sigma, vt = np.linalg.svd(w)
-    k = sigma.size
-    v = vt[:k].T
-    left = np.linalg.norm(w @ v - u[:, :k] * sigma, axis=0)
-    right = np.linalg.norm(w.T @ u[:, :k] - v * sigma, axis=0)
-    worst = float(max(left.max(), right.max()))
-    _check_residual(worst, max(float(sigma[0]), 1e-300))
-    squares = (sigma * sigma)[::-1].copy()
-    columns = (
-        np.concatenate([np.zeros(q - k), squares]),
-        vt[::-1, -_TAIL_ROWS:].T.copy(),
-    )
-    rows = (np.concatenate([np.zeros(p - k), squares]), u[-_TAIL_ROWS:, ::-1].copy())
-    return _Factored(squares, columns, rows)
+    t = _w_block(p, q) if p <= q else _w_block(p, q).T
+    null = abs(p - q)
+    basis = np.linalg.eigh(t.T @ t)[1]
+    x = t @ basis
+    m = x.T @ x  # from X, not the Gram: rounding eps ||W|| (sigma_i + sigma_j)
+    quotients = m.diagonal().copy()
+    squares, sigma = quotients[null:], np.sqrt(quotients[null:])
+    gap = quotients[:, None] - quotients
+    gap[:null, :null] = np.inf  # the null block's rotation is free
+    np.fill_diagonal(gap, np.inf)
+    m /= gap  # R, in place
+    del gap
+    tails = (basis[-_TAIL_ROWS:], x[-_TAIL_ROWS:])
+    long_tail, short_tail = (tail - tail @ m for tail in tails)
+    del m
+    long_side = (np.concatenate([np.zeros(null), squares]), long_tail)
+    short_side = (squares, short_tail[:, null:] / sigma)
+    back = t.T @ (x[:, null:] / sigma)
+    back -= basis[:, null:] * sigma
+    worst = float(np.sqrt(np.einsum("ij,ij->j", back, back).max()))
+    _check_residual(worst, max(float(sigma[-1]), 1e-300))
+    sides = (long_side, short_side) if p <= q else (short_side, long_side)
+    return _Factored(squares, *sides)
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a bad root fails its bracket
@@ -384,13 +399,15 @@ def singular_spectra(requests: list[tuple[int, int]]) -> list[np.ndarray]:
     W(ceil(N/2), floor(N/2)) twice, plus one zero at odd N.
 
     The call factors W(P, Q) = W(ceil(B/2), floor(B/2)), for B the largest
-    requested order, at most once.  Every block with up to two fewer rows,
-    or up to two fewer columns, is derived from that SVD by secular
-    equations in O(B^2) (:func:`_derived_squares`); that covers d <= 3 at
-    order B and the complete square of order B - 1.  Every other distinct
-    block gets one SVD of its own.  Nothing is kept between calls.  Values
-    agree with ``eigen_symmetric(truncate_after_squaring(N, d))`` to within
-    a few times 1e-15 ||B||.  Every factored block passes the residual check
+    requested order, at most once: one eigensolve of its Gram matrix of
+    order ceil(B/2), values as Rayleigh quotients (:func:`_factor_block`).
+    Every block with up to two fewer rows, or up to two fewer columns, is
+    derived from that factorization by secular equations in O(B^2)
+    (:func:`_derived_squares`); that covers d <= 3 at order B and the
+    complete square of order B - 1.  Every other distinct block is factored
+    on its own.  Nothing is kept between calls.  Values agree with
+    ``eigen_symmetric(truncate_after_squaring(N, d))`` to within a few times
+    1e-15 ||B||.  Every factored block passes the residual check
     max(||W v - sigma u||, ||W^T u - sigma v||) <= 1e-8 sigma_max and every
     derived value a sign check of its secular equation at both ends of its
     bracket; otherwise ArithmeticError is raised.  No order-N array is built.
@@ -412,9 +429,9 @@ def singular_spectra(requests: list[tuple[int, int]]) -> list[np.ndarray]:
         if (p == big_p and big_q - _TAIL_ROWS <= q <= big_q)
         or (q == big_q and big_p - _TAIL_ROWS <= p <= big_p)
     }
-    squares = {block: _block_svd(*block).squares for block in distinct - near}
+    squares = {block: _factor_block(*block).squares for block in distinct - near}
     if near:
-        factored = _block_svd(*base)
+        factored = _factor_block(*base)
         squares[base] = factored.squares
         for block in near - {base}:
             squares[block] = _derived_squares(factored, *block)
@@ -436,8 +453,9 @@ def dense_bytes(sizes: list[int]) -> int:
 
     Blocks are factored one at a time and only O(N) values of each are
     kept, so the estimate is that of the largest order: ``_BLOCK_ARRAYS``
-    float64 arrays of ceil(N/2)^2 entries for the SVD of W and its residual
-    check.  The blocks derived from that SVD add no array of that size.
+    float64 arrays of ceil(N/2)^2 entries for factoring W, where about 6.5
+    live at peak (W, its Gram matrix and the eigensolve's copy, workspace and
+    eigenvectors).  The blocks derived from it add no array of that size.
     Computed from the orders alone, before anything is allocated.
     """
     half = (max(sizes, default=0) + 1) // 2
@@ -496,13 +514,13 @@ def near_integer_check(size: int) -> list[NearInteger]:
     an error that grows in proportion to the integer r: at order 1000 it is
     about 1.67e-3 r (1.67e-3 at r = 1, 8.35e-3 at r = 5, 1.17e-2 at r = 7).
     Returns one record per opposite pair +/-sigma, that is per singular
-    value sigma of W(ceil(N/2), floor(N/2)) (see :func:`singular_spectra`):
-    floor(N/2) records, ascending in sigma.
+    value sigma of W(ceil(N/2), floor(N/2)), each the square root of a
+    Rayleigh quotient (:func:`_factor_block`): floor(N/2) records, ascending.
     """
     size = _check_index(size, "size")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    magnitudes = np.sqrt(_block_svd((size + 1) // 2, size // 2).squares).tolist()
+    magnitudes = np.sqrt(_factor_block((size + 1) // 2, size // 2).squares).tolist()
     references = [_nearest_with_parity(x, size % 2 == 0) for x in magnitudes]
     return [NearInteger(x, r, abs(x - r)) for x, r in zip(magnitudes, references)]
 

@@ -11,16 +11,16 @@ import pytest
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the matrices passed to np.linalg.svd during the test."""
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.eigh during the test."""
     calls = []
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
 
-    def counting_svd(*args, **kwargs):
+    def counting_eigh(*args, **kwargs):
         calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
 
 # (m, n) -> {size: printed triple product, "target": printed limit}

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from momtrunc.operator import _square_array, momentum_array
+from momtrunc.operator import _square_array, _w_block, momentum_array
 from momtrunc.spectra import PairingReport, eigen_symmetric
 
 
@@ -45,6 +45,11 @@ def dense_fourth_power_entry(m: int, n: int, size: int) -> tuple[float, float]:
     square = _square_array(size)
     terms = square[m - 1] * square[:, n - 1]
     return math.fsum(terms.tolist()), math.fsum(np.abs(terms).tolist())
+
+
+def svd_squares(p: int, q: int) -> np.ndarray:
+    """Squared singular values of W(p, q), ascending, from LAPACK's SVD."""
+    return np.linalg.svd(_w_block(p, q), compute_uv=False)[::-1] ** 2
 
 
 def _close(x: float, y: float, tol: float) -> bool:

@@ -144,24 +144,32 @@ class TestOtherCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("dense path called")
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        eigh = np.linalg.eigh
+
+        def half_size_eigh(matrix, *args, **kwargs):
+            # ceil(N/2) = 5 at the largest N = 10 here: no order-N solve.
+            if max(matrix.shape) > 5:
+                refuse()
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", half_size_eigh)
         monkeypatch.setattr(operator, "momentum_array", refuse)
         monkeypatch.setattr(spectra, "_square_array", refuse)
         assert run_cli(args + ["--out", os.devnull]) == 0
 
     @pytest.mark.parametrize(
-        "sizes, delete_tail, svds",
+        "sizes, delete_tail, factored",
         [
             ("199,200", "3", 1),  # every block within two deletions of W(100, 100)
-            ("10,200", "1", 2),  # W(5, 5) is too far from it: its own SVD
+            ("10,200", "1", 2),  # W(5, 5) is too far from it: its own eigh
         ],
     )
     def test_table2_factors_only_blocks_it_cannot_derive(
-        self, sizes, delete_tail, svds, svd_calls
+        self, sizes, delete_tail, factored, eigh_calls
     ):
         args = ["table2", "--sizes", sizes, "--delete-tail", delete_tail]
         assert run_cli(args + ["--out", os.devnull]) == 0
-        assert len(svd_calls) == svds, svd_calls
+        assert len(eigh_calls) == factored, eigh_calls
 
     def test_spectrum_pairs_takes_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -169,7 +177,7 @@ class TestOtherCommands:
 
         for name in ("svd", "eigh", "eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        for name in ("_block_svd", "_w_block"):
+        for name in ("_factor_block", "_w_block"):
             monkeypatch.setattr(spectra, name, refuse)
         assert run_cli(["spectrum-pairs", "--out", os.devnull]) == 0
 
