@@ -13,10 +13,11 @@ lists.  Each source is checked on its own, and flags win; a config
 ``null`` means stdout for ``out`` and is refused for every other key.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
-experiment does not accept, or sizes whose arrays would exceed a fixed
-memory limit), decided before any computation; 1 runtime failure (an
-unwritable output path, a failed eigensolve residual check, or any other
-error the library raises), reported as one ``momtrunc: error:`` line.
+experiment does not accept, or a size above the largest one the command
+accepts under a fixed memory limit), decided before any computation; 1
+runtime failure (an unwritable output path, a failed eigensolve residual
+check, or any other error the library raises), reported as one
+``momtrunc: error:`` line.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class ReportConfig:
     out: str | None = None
 
 
-# Largest array footprint any command accepts, estimated from the sizes
-# before anything is allocated (see _check_memory).
+# Memory limit that sets each command's largest accepted size (max_size in
+# EXPERIMENTS), checked before anything is allocated (see _check_memory).
 _MAX_DENSE_BYTES = 4 * 2**30
 # Bytes per label that table1, diverge, p2check and tails hold at peak for
 # their largest size: a few float64 vectors of the size, summed by math.fsum
@@ -70,7 +71,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON, text that is not UTF-8, too long integers, too deep nesting.
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -157,56 +159,33 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
     # argparse gives None for an absent flag.
     flags = {k: v for k in experiment.keys if (v := getattr(args, k)) is not None}
 
-    # Each source's values are checked as it gives them; flags win.
+    # Each source's values are checked as it gives them; flags win.  Tuple
+    # defaults are copied to fresh lists.
     values = {
-        "pairs": list(experiment.pairs),
-        "sizes": list(experiment.sizes),
-        "delete_tail": experiment.delete_tail or 0,
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in experiment.defaults.items()
     }
     for given in (file_cfg, flags):
         values.update({key: _KEYS[key][0](value) for key, value in given.items()})
     cfg = ReportConfig(command=command, **values)
 
-    # A command needs the inputs it has defaults for.
-    if experiment.pairs and not cfg.pairs:
-        raise UsageError(f"{command} requires at least one pair")
-    if experiment.sizes:
-        if not cfg.sizes:
-            raise UsageError(f"{command} requires at least one size")
-        if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
-            raise UsageError(f"sizes must be strictly ascending, got {cfg.sizes}")
+    # A command requires the inputs it has defaults for.
+    for key in ("pairs", "sizes"):
+        if key in values and not values[key]:
+            raise UsageError(f"{command} requires at least one {key[:-1]}")
+    if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
+        raise UsageError(f"sizes must be strictly ascending, got {cfg.sizes}")
     return cfg
 
 
-def _linear_bytes(sizes: list[int]) -> int:
-    """Peak bytes of the O(N) commands at these sizes, estimated.
-
-    One size is computed at a time, so this is the largest size's estimate.
-    """
-    return _LINEAR_BYTES_PER_LABEL * max(sizes, default=0)
-
-
-def _largest_accepted(estimate: Callable[[list[int]], int]) -> int:
-    """Largest single size whose estimate fits the limit (estimates grow with N)."""
-    low, high = 0, _MAX_DENSE_BYTES
-    while low < high:
-        mid = (low + high + 1) // 2
-        if estimate([mid]) <= _MAX_DENSE_BYTES:
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
 def _check_memory(cfg: ReportConfig) -> None:
-    """Refuse sizes whose estimated arrays exceed the limit, naming the largest N."""
-    estimate = EXPERIMENTS[cfg.command].estimate_bytes
-    needed = estimate(cfg.sizes)
-    if needed > _MAX_DENSE_BYTES:
+    """Refuse a largest size above the command's limit, naming that limit."""
+    limit = EXPERIMENTS[cfg.command].max_size
+    if cfg.sizes and cfg.sizes[-1] > limit:
         raise UsageError(
-            f"{cfg.command} at sizes {cfg.sizes} needs about {needed / 2**30:.1f} GiB "
-            f"of arrays, above the {_MAX_DENSE_BYTES / 2**30:.0f} GiB limit; "
-            f"sizes are accepted up to N = {_largest_accepted(estimate)}"
+            f"{cfg.command} at size {cfg.sizes[-1]} exceeds the "
+            f"{_MAX_DENSE_BYTES / 2**30:.0f} GiB memory limit; "
+            f"sizes are accepted up to N = {limit}"
         )
 
 
@@ -355,72 +334,62 @@ def _run_spectrum_pairs(cfg: ReportConfig) -> Report:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One subcommand: its help, defaults, report builder and memory estimate.
+    """One subcommand: its help, report builder, defaults and largest size.
 
-    A command takes and requires pairs (sizes) exactly when it has default
-    pairs (sizes); ``delete_tail`` is None for commands without
-    ``--delete-tail``.
+    ``defaults`` maps each key the command reads and requires, besides
+    ``format`` and ``out``, to its default; ``max_size`` is the largest
+    size it accepts.
     """
 
     help: str
     run: Callable[[ReportConfig], Report]
-    pairs: tuple[tuple[int, int], ...] = ()
-    sizes: tuple[int, ...] = ()
-    delete_tail: int | None = None
-    estimate_bytes: Callable[[list[int]], int] = _linear_bytes
+    defaults: dict[str, Any]
+    max_size: int = _MAX_LABEL
 
     @property
     def keys(self) -> list[str]:
         """The flags, and config keys, this command reads."""
-        reads = {
-            "pairs": bool(self.pairs),
-            "sizes": bool(self.sizes),
-            "delete_tail": self.delete_tail is not None,
-        }
-        return [key for key, read in reads.items() if read] + ["format", "out"]
+        return [*self.defaults, "format", "out"]
 
 
 EXPERIMENTS = {
     "table1": Experiment(
         "triple products against their Hermitian-part targets",
         _run_table1,
-        pairs=((1, 2), (2, 3), (20, 31), (60, 91)),
-        sizes=(99, 100, 999, 1000, 1999, 2000),
+        {"pairs": ((1, 2), (2, 3), (20, 31), (60, 91)),
+         "sizes": (99, 100, 999, 1000, 1999, 2000)},
     ),
     "table2": Experiment(
         "eigenvalues of the squared truncation, complete and repaired",
         _run_table2,
-        sizes=(999, 1000),
-        delete_tail=1,
-        estimate_bytes=spectra.dense_bytes,
+        {"sizes": (999, 1000), "delete_tail": 1},
+        max_size=spectra.largest_order(_MAX_DENSE_BYTES),
     ),
     "p2check": Experiment(
         "partial sums of the square's entries against m n delta_mn",
         _run_p2check,
-        pairs=((1, 1), (1, 3), (2, 2), (2, 4), (3, 5)),
-        sizes=(1000, 10000, 100000),
+        {"pairs": ((1, 1), (1, 3), (2, 2), (2, 4), (3, 5)),
+         "sizes": (1000, 10000, 100000)},
     ),
     "assoc": Experiment(
         "the two unequal one-sided products with the exact square",
         _run_assoc,
-        pairs=((1, 2), (2, 3), (3, 4)),
+        {"pairs": ((1, 2), (2, 3), (3, 4))},
     ),
     "diverge": Experiment(
         "fourth-power and middle-sum divergence probes",
         _run_diverge,
-        pairs=((1, 1), (1, 3)),
-        sizes=(250, 500, 1000, 2000),
+        {"pairs": ((1, 1), (1, 3)), "sizes": (250, 500, 1000, 2000)},
     ),
     "tails": Experiment(
         "boundary-tail contribution and its approximants",
         _run_tails,
-        pairs=((1, 2), (3, 4)),
-        sizes=(200, 400, 800, 1600),
+        {"pairs": ((1, 2), (3, 4)), "sizes": (200, 400, 800, 1600)},
     ),
     "spectrum-pairs": Experiment(
         "opposite-pair structure of the truncation's spectrum",
         _run_spectrum_pairs,
-        sizes=(999, 1000),
+        {"sizes": (999, 1000)},
     ),
 }
 

@@ -25,6 +25,7 @@ determinant formula, so :func:`spectrum_pairing` computes nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +55,8 @@ _GROUPING_TOL = 1e-6
 # W, its Gram matrix, eigh's copy, workspace and eigenvectors (measured for
 # table2 with delete-tail 3: 6.5 at N = 2000 and 6.2 at N = 4000, above the
 # interpreter's own ~31 MiB; 12 keeps a margin).  Blocks derived from it add
-# only _CHUNK x ceil(N/2) work arrays.
+# only _CHUNK x ceil(N/2) work arrays.  largest_order turns a byte budget
+# into the largest order this count admits.
 _BLOCK_ARRAYS = 12
 
 
@@ -448,18 +450,14 @@ def singular_spectrum(order: int, deleted_tail: int = 0) -> np.ndarray:
     return singular_spectra([(order, deleted_tail)])[0]
 
 
-def dense_bytes(sizes: list[int]) -> int:
-    """Bytes the spectra at these orders may hold at once, estimated.
+def largest_order(budget: int) -> int:
+    """Largest order whose block factorization fits ``budget`` bytes.
 
-    Blocks are factored one at a time and only O(N) values of each are
-    kept, so the estimate is that of the largest order: ``_BLOCK_ARRAYS``
-    float64 arrays of ceil(N/2)^2 entries for factoring W, where about 6.5
-    live at peak (W, its Gram matrix and the eigensolve's copy, workspace and
-    eigenvectors).  The blocks derived from it add no array of that size.
-    Computed from the orders alone, before anything is allocated.
+    Order N factors W(ceil(N/2), floor(N/2)) while ``_BLOCK_ARRAYS`` float64
+    arrays of ceil(N/2)^2 entries may live, so ceil(N/2) is at most
+    isqrt(budget / (8 _BLOCK_ARRAYS)) and N at most twice that.
     """
-    half = (max(sizes, default=0) + 1) // 2
-    return _BLOCK_ARRAYS * 8 * half * half
+    return 2 * math.isqrt(budget // (8 * _BLOCK_ARRAYS))
 
 
 def squared_momentum(size: int) -> TruncatedMatrix:
@@ -509,10 +507,13 @@ def _nearest_with_parity(x: float, odd: bool) -> int:
 def near_integer_check(size: int) -> list[NearInteger]:
     """Distance of each eigenvalue magnitude from opposite-parity integers.
 
-    The positive eigenvalue magnitudes of the truncation sit close to
-    integers whose parity is opposite to that of the truncation order, with
-    an error that grows in proportion to the integer r: at order 1000 it is
-    about 1.67e-3 r (1.67e-3 at r = 1, 8.35e-3 at r = 5, 1.17e-2 at r = 7).
+    The positive eigenvalue magnitudes of the truncation are the integers
+    r_k of parity opposite to the order N, shrunk by one factor:
+    sigma_k = r_k (1 - c(N)/N).  As fitted to the ten lowest, c = 1.6696,
+    1.6698, 1.8117 and 1.9531 at N = 999, 1000, 2000 and 4000, spreading by
+    less than 1e-3 over k <= 20, and c(N) - (2/pi^2) ln N rises slowly, from
+    0.2700 at N = 1000 to 0.2724 at N = 4000.  So the error r_k c(N)/N is
+    about 1.67e-3 r at order 1000 (1.67e-3 at r = 1, 1.17e-2 at r = 7).
     Returns one record per opposite pair +/-sigma, that is per singular
     value sigma of W(ceil(N/2), floor(N/2)), each the square root of a
     Rayleigh quotient (:func:`_factor_block`): floor(N/2) records, ascending.

@@ -229,6 +229,22 @@ class TestConfigAndErrors:
         assert run_cli(["table1", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"sizes": [9, 10], "note": "\xff"}',
+            b'{"sizes": [' + b"9" * 5000 + b"]}",
+            b"[" * 100000,
+        ],
+        ids=["not-utf-8", "5000-digit-integer", "nested-100000-deep"],
+    )
+    def test_unparsable_config_files_are_usage_errors(self, content, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run_cli(["table2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("momtrunc: error: config file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "command, key, value",
         [
             ("table2", "pairs", "1,2"),
@@ -296,25 +312,21 @@ class TestConfigAndErrors:
 
 
 class TestDenseSizeGuard:
-    def test_estimate_is_that_of_the_largest_size(self):
-        assert spectra.dense_bytes([1000]) == 96 * 500**2
-        assert spectra.dense_bytes([999]) == spectra.dense_bytes([1000])
-        assert spectra.dense_bytes([999, 1000]) == spectra.dense_bytes([1000])
-        assert spectra.dense_bytes([1999, 2000]) == 96 * 1000**2
-
     def test_limit_admits_sizes_up_to_13376(self):
-        assert spectra.dense_bytes([13376]) <= cli._MAX_DENSE_BYTES
-        assert spectra.dense_bytes([13377]) > cli._MAX_DENSE_BYTES
-
-    def test_linear_estimate_is_that_of_the_largest_size(self):
-        assert cli._linear_bytes([10**7]) == 64 * 10**7
-        assert cli._linear_bytes([99, 1000]) == cli._linear_bytes([1000])
-        # table1 at N = 10^7 peaks at about 450 MiB of RSS.
-        assert cli._linear_bytes([10**7]) >= 450 * 2**20
+        assert spectra.largest_order(cli._MAX_DENSE_BYTES) == 13376
+        assert cli.EXPERIMENTS["table2"].max_size == 13376
+        # 12 float64 arrays of ceil(N/2)^2 entries: 96 bytes per entry.
+        assert 96 * 6688**2 <= cli._MAX_DENSE_BYTES < 96 * 6689**2
 
     def test_linear_limit_admits_sizes_up_to_67108864(self):
-        assert cli._linear_bytes([67108864]) <= cli._MAX_DENSE_BYTES
-        assert cli._linear_bytes([67108865]) > cli._MAX_DENSE_BYTES
+        assert cli._MAX_LABEL == 67108864
+        for name, experiment in cli.EXPERIMENTS.items():
+            if name != "table2":
+                assert experiment.max_size == cli._MAX_LABEL
+
+    def test_linear_limit_covers_the_measured_peak(self):
+        # table1 at N = 10^7 peaks at about 450 MiB of RSS.
+        assert cli._LINEAR_BYTES_PER_LABEL * 10**7 >= 450 * 2**20
 
     @pytest.mark.parametrize(
         "command, pairs",
@@ -349,8 +361,12 @@ class TestDenseSizeGuard:
 
         monkeypatch.setattr(operator, "_w_block", refuse)
         monkeypatch.setattr(spectra, "_w_block", refuse)
-        assert run_cli([command, "--sizes", "13377"]) == 2
-        assert "accepted up to N = 13376" in capsys.readouterr().err
+        # The largest size decides, whatever sizes come before it.
+        for sizes in ("13377", "10,13377"):
+            assert run_cli([command, "--sizes", sizes]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("momtrunc: error:") and err.count("\n") == 1
+            assert "accepted up to N = 13376" in err
 
     def test_spectrum_pairs_is_accepted_beyond_the_spectra_limit(self, capsys):
         assert run_cli(["spectrum-pairs", "--sizes", "13377"]) == 0

@@ -227,4 +227,4 @@ def test_package_exports_each_modules_public_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(momtrunc, name) is getattr(module, name)
-    assert "dense_bytes" not in names
+    assert "largest_order" not in names

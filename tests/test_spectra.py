@@ -236,6 +236,29 @@ class TestNearInteger:
         assert [r.magnitude for r in records] == pytest.approx([1e-5, 1.0], rel=1e-12)
 
 
+@functools.cache
+def scale_factors(order):
+    """c_k from sigma_k = r_k (1 - c_k / N) for the 20 lowest sigma_k."""
+    squares = spectra._factor_block((order + 1) // 2, order // 2).squares[:20]
+    references = np.arange(20) * 2 + (1 if order % 2 == 0 else 2)
+    return order * (1 - np.sqrt(squares) / references)
+
+
+class TestScaleLaw:
+    # The low levels are the opposite-parity integers shrunk by one factor.
+    @pytest.mark.parametrize("order, c", [(999, 1.6696), (1000, 1.6698), (2000, 1.8117)])
+    def test_fitted_factor(self, order, c):
+        assert np.mean(scale_factors(order)[:10]) == pytest.approx(c, abs=1e-4)
+
+    @pytest.mark.parametrize("order", [999, 1000, 2000])
+    def test_one_factor_for_the_twenty_lowest(self, order):
+        assert np.ptp(scale_factors(order)) <= 1e-3
+
+    def test_law_gives_table2s_rank_one_cell(self):
+        c = np.mean(scale_factors(1000)[:10])
+        assert f"{(1 - c / 1000) ** 2:.6f}" == "0.996663"
+
+
 class TestRepair:
     def test_zero_deletion_is_identity(self):
         assert np.array_equal(
