@@ -312,6 +312,13 @@ class TestConfigAndErrors:
 
 
 class TestDenseSizeGuard:
+    def test_estimate_is_that_of_the_largest_size(self):
+        # Orders 999 and 1000 both factor a 500 x 500 block: 96 * 500^2 bytes.
+        assert spectra.largest_order(96 * 500**2) == 1000
+        assert spectra.largest_order(96 * 500**2 - 1) == 998
+        assert spectra.largest_order(96 * 1000**2) == 2000
+        assert spectra.largest_order(96 * 1000**2 - 1) == 1998
+
     def test_limit_admits_sizes_up_to_13376(self):
         assert spectra.largest_order(cli._MAX_DENSE_BYTES) == 13376
         assert cli.EXPERIMENTS["table2"].max_size == 13376
