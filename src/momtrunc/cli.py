@@ -10,7 +10,9 @@ full-precision rows.
 A command reads the flags it lists, and a ``--config`` JSON file may set
 the same keys, ``pairs`` and ``sizes`` as the flag's string or as JSON
 lists.  Each source is checked on its own, and flags win; a config
-``null`` means stdout for ``out`` and is refused for every other key.
+``null`` means stdout for ``out`` and is refused for every other key.  A
+command's report builder receives exactly the keys its registry record
+declares; ``format`` and ``out`` only shape the output.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
@@ -25,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -34,21 +36,11 @@ import numpy as np
 from . import products, spectra, tails
 from .operator import p2_exact_entry, p3_hermitian_entry
 
-__all__ = ["main", "build_parser", "ReportConfig"]
+__all__ = ["main", "build_parser"]
 
 
 class UsageError(ValueError):
     """Invalid flag or config-file value; maps to exit code 2."""
-
-
-@dataclass
-class ReportConfig:
-    command: str
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
-    delete_tail: int = 0
-    format: str = "csv"
-    out: str | None = None
 
 
 # Memory limit that sets each command's largest accepted size (max_size in
@@ -153,9 +145,12 @@ _KEYS: dict[str, tuple[Callable[[Any], Any], dict[str, Any]]] = {
     "format": (_read_format, {"choices": ["csv", "json"], "help": "output format"}),
     "out": (_read_out, {"help": "output path (default: stdout)"}),
 }
+# The keys every command reads after its own, with their defaults.
+_OUTPUT_DEFAULTS = {"format": "csv", "out": None}
 
 
-def _assemble_config(args: argparse.Namespace) -> ReportConfig:
+def _assemble_config(args: argparse.Namespace) -> dict[str, Any]:
+    """The value of each key the command reads, in its registry order."""
     command = args.command
     experiment = EXPERIMENTS[command]
     file_cfg = _load_config_file(args.config) if args.config else {}
@@ -167,21 +162,22 @@ def _assemble_config(args: argparse.Namespace) -> ReportConfig:
 
     # Each source's values are checked as it gives them; flags win.  Tuple
     # defaults are copied to fresh lists.
-    values = {
+    cfg = {
         key: list(value) if isinstance(value, tuple) else value
-        for key, value in experiment.defaults.items()
+        for key, value in {**experiment.defaults, **_OUTPUT_DEFAULTS}.items()
     }
     for given in (file_cfg, flags):
-        values.update({key: _KEYS[key][0](value) for key, value in given.items()})
-    return ReportConfig(command=command, **values)
+        cfg.update({key: _KEYS[key][0](value) for key, value in given.items()})
+    return cfg
 
 
-def _check_memory(cfg: ReportConfig) -> None:
+def _check_memory(command: str, cfg: dict[str, Any]) -> None:
     """Refuse a largest size above the command's limit, naming that limit."""
-    limit = EXPERIMENTS[cfg.command].max_size
-    if cfg.sizes and cfg.sizes[-1] > limit:
+    limit = EXPERIMENTS[command].max_size
+    sizes = cfg.get("sizes")
+    if sizes and sizes[-1] > limit:
         raise UsageError(
-            f"{cfg.command} at size {cfg.sizes[-1]} exceeds the "
+            f"{command} at size {sizes[-1]} exceeds the "
             f"{_MAX_DENSE_BYTES / 2**30:.0f} GiB memory limit; "
             f"sizes are accepted up to N = {limit}"
         )
@@ -194,39 +190,52 @@ Row = list[Any]
 # true/false.
 Columns = list[tuple[str, str]]
 Report = tuple[Columns, list[Row]]
+Pairs = list[tuple[int, int]]
 _LABELS: Columns = [("m", ""), ("n", ""), ("size", "")]
 
 
-def _check_sizes_cover_pairs(cfg: ReportConfig) -> None:
+def _check_sizes_cover_pairs(pairs: Pairs, sizes: list[int]) -> None:
     """Refuse a pair with a label above the smallest (first) size."""
-    for m, n in cfg.pairs:
-        if cfg.sizes[0] < max(m, n):
-            raise UsageError(f"size {cfg.sizes[0]} is smaller than pair ({m},{n})")
+    for m, n in pairs:
+        if sizes[0] < max(m, n):
+            raise UsageError(f"size {sizes[0]} is smaller than pair ({m},{n})")
 
 
-def _run_table1(cfg: ReportConfig) -> Report:
-    _check_sizes_cover_pairs(cfg)
+def _against_limit(
+    pairs: Pairs, sizes: list[int], columns: Columns, limit: Callable, partial: Callable
+) -> Report:
+    """Rows of m, n, size, partial(m, n, size), limit(m, n) and their |error|."""
     rows: list[Row] = []
-    for m, n in cfg.pairs:
-        target = p3_hermitian_entry(m, n)
-        for size in cfg.sizes:
-            value = products.triple_product_sum(m, n, size)
+    for m, n in pairs:
+        target = limit(m, n)
+        for size in sizes:
+            value = partial(m, n, size)
             rows.append([m, n, size, value, target, abs(value - target)])
-    columns = _LABELS + [
-        ("triple_product", ".6g"), ("target", ".6g"), ("abs_error", ".3e")
-    ]
-    return columns, rows
+    return _LABELS + columns + [("abs_error", ".3e")], rows
 
 
-def _run_table2(cfg: ReportConfig) -> Report:
-    largest = cfg.sizes[-1]
-    if cfg.delete_tail >= largest:
-        raise UsageError(
-            f"delete_tail {cfg.delete_tail} must be < largest size {largest}"
-        )
-    requests = [(size, 0) for size in cfg.sizes[:-1]]
-    if cfg.delete_tail > 0:
-        requests.append((largest, cfg.delete_tail))
+def _run_table1(pairs: Pairs, sizes: list[int]) -> Report:
+    _check_sizes_cover_pairs(pairs, sizes)
+    columns = [("triple_product", ".6g"), ("target", ".6g")]
+    return _against_limit(
+        pairs, sizes, columns, p3_hermitian_entry, products.triple_product_sum
+    )
+
+
+def _run_p2check(pairs: Pairs, sizes: list[int]) -> Report:
+    columns = [("partial_sum", ".10g"), ("exact", ".6g")]
+    return _against_limit(
+        pairs, sizes, columns, p2_exact_entry, products.p2_partial_sum
+    )
+
+
+def _run_table2(sizes: list[int], delete_tail: int) -> Report:
+    largest = sizes[-1]
+    if delete_tail >= largest:
+        raise UsageError(f"delete_tail {delete_tail} must be < largest size {largest}")
+    requests = [(size, 0) for size in sizes[:-1]]
+    if delete_tail > 0:
+        requests.append((largest, delete_tail))
     requests.append((largest, 0))
     spectra_by_column = [
         (f"complete_{size}" if d == 0 else f"truncated_{size}_to_{size - d}", values)
@@ -241,22 +250,9 @@ def _run_table2(cfg: ReportConfig) -> Report:
     return columns, rows
 
 
-def _run_p2check(cfg: ReportConfig) -> Report:
+def _run_assoc(pairs: Pairs) -> Report:
     rows = []
-    for m, n in cfg.pairs:
-        exact = p2_exact_entry(m, n)
-        for size in cfg.sizes:
-            value = products.p2_partial_sum(m, n, size)
-            rows.append([m, n, size, value, exact, abs(value - exact)])
-    columns = _LABELS + [
-        ("partial_sum", ".10g"), ("exact", ".6g"), ("abs_error", ".3e")
-    ]
-    return columns, rows
-
-
-def _run_assoc(cfg: ReportConfig) -> Report:
-    rows = []
-    for m, n in cfg.pairs:
+    for m, n in pairs:
         left, right = products.associativity_gap(m, n)
         ratio = left / right if right != 0.0 else None
         rows.append([m, n, left, right, ratio])
@@ -266,24 +262,22 @@ def _run_assoc(cfg: ReportConfig) -> Report:
     return columns, rows
 
 
-def _run_diverge(cfg: ReportConfig) -> Report:
-    for m, n in cfg.pairs:
+def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
+    for m, n in pairs:
         if (m + n) % 2 == 1:
             raise UsageError(f"diverge requires same-parity pairs, got ({m},{n})")
-    _check_sizes_cover_pairs(cfg)
+    _check_sizes_cover_pairs(pairs, sizes)
     rows = []
-    for m, n in cfg.pairs:
+    for m, n in pairs:
         exact = float(m * m * n * n) if m == n else 0.0
-        values = [products.quad_power_entry(m, n, size) for size in cfg.sizes]
-        partials = [products.pp2p_partial_sum(m, n, size) for size in cfg.sizes]
+        values = [products.quad_power_entry(m, n, size) for size in sizes]
+        partials = [products.pp2p_partial_sum(m, n, size) for size in sizes]
         deviations = [abs(v - exact) for v in values]
-        if len(cfg.sizes) >= 2 and all(d > 0 for d in deviations):
-            slope = float(
-                np.polyfit(np.log10(cfg.sizes), np.log10(deviations), 1)[0]
-            )
+        if len(sizes) >= 2 and all(d > 0 for d in deviations):
+            slope = float(np.polyfit(np.log10(sizes), np.log10(deviations), 1)[0])
         else:
             slope = None
-        for size, value, partial in zip(cfg.sizes, values, partials):
+        for size, value, partial in zip(sizes, values, partials):
             rows.append([m, n, size, value, exact, partial, slope])
     columns = _LABELS + [
         ("fourth_power", ".8g"),
@@ -294,8 +288,8 @@ def _run_diverge(cfg: ReportConfig) -> Report:
     return columns, rows
 
 
-def _run_tails(cfg: ReportConfig) -> Report:
-    grid = [(m, n, size) for m, n in cfg.pairs for size in cfg.sizes]
+def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
+    grid = [(m, n, size) for m, n in pairs for size in sizes]
     for m, n, size in grid:
         if m % 2 == 0 or n % 2 == 1 or size % 2 == 1 or size < 10 * (m + n):
             raise UsageError(
@@ -313,10 +307,10 @@ def _run_tails(cfg: ReportConfig) -> Report:
     return columns, rows
 
 
-def _run_spectrum_pairs(cfg: ReportConfig) -> Report:
+def _run_spectrum_pairs(sizes: list[int]) -> Report:
     # The pairs are exact by structure (see spectrum_pairing): their gap is 0.0.
     rows = []
-    for size in cfg.sizes:
+    for size in sizes:
         report = spectra.spectrum_pairing(size)
         rows.append([size, report.pair_count, report.zero_modes, 0.0, report.ok])
     columns = [
@@ -334,19 +328,20 @@ class Experiment:
     """One subcommand: its help, report builder, defaults and largest size.
 
     ``defaults`` maps each key the command reads and requires, besides
-    ``format`` and ``out``, to its default; ``max_size`` is the largest
-    size it accepts.
+    ``format`` and ``out``, to its default; ``run`` takes exactly those
+    keys as keyword arguments, and ``max_size`` is the largest size the
+    command accepts.
     """
 
     help: str
-    run: Callable[[ReportConfig], Report]
+    run: Callable[..., Report]
     defaults: dict[str, Any]
     max_size: int = _MAX_LABEL
 
     @property
     def keys(self) -> list[str]:
         """The flags, and config keys, this command reads."""
-        return [*self.defaults, "format", "out"]
+        return [*self.defaults, *_OUTPUT_DEFAULTS]
 
 
 EXPERIMENTS = {
@@ -408,16 +403,14 @@ def _render_csv(columns: Columns, rows: list[Row]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(cfg: ReportConfig, columns: Columns, rows: list[Row]) -> str:
+def _render_json(
+    command: str, cfg: dict[str, Any], columns: Columns, rows: list[Row]
+) -> str:
     # The config echo holds only keys the command reads, so it can be passed
-    # back as --config.
+    # back as --config; only out can be None, and None is left out.
     payload = {
-        "experiment": cfg.command,
-        "config": {
-            key: getattr(cfg, key)
-            for key in EXPERIMENTS[cfg.command].keys
-            if not (key == "out" and cfg.out is None)
-        },
+        "experiment": command,
+        "config": {key: value for key, value in cfg.items() if value is not None},
         "columns": [name for name, _ in columns],
         "rows": rows,
     }
@@ -450,24 +443,25 @@ def main(argv: list[str] | None = None) -> int:
     if unread:
         # Reported by the subcommand, whose usage line lists the flags it takes.
         args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    experiment = EXPERIMENTS[args.command]
     try:
         cfg = _assemble_config(args)
-        _check_memory(cfg)
-        columns, rows = EXPERIMENTS[cfg.command].run(cfg)
+        _check_memory(args.command, cfg)
+        columns, rows = experiment.run(**{key: cfg[key] for key in experiment.defaults})
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 1
     try:
-        if cfg.format == "csv":
+        if cfg["format"] == "csv":
             text = _render_csv(columns, rows)
         else:
-            text = _render_json(cfg, columns, rows)
-        if cfg.out is None:
+            text = _render_json(args.command, cfg, columns, rows)
+        if cfg["out"] is None:
             sys.stdout.write(text)
         else:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+            with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
     except OSError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")

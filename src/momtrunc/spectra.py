@@ -97,11 +97,12 @@ class NearInteger:
 
 
 def _as_array(matrix: TruncatedMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(matrix, TruncatedMatrix):
-        return matrix.entries
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    entries = matrix.entries if isinstance(matrix, TruncatedMatrix) else matrix
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has entries that are not finite")
     return arr
 
 
@@ -122,7 +123,7 @@ def _degeneracy_groups(values: np.ndarray, tol: float) -> tuple[tuple[float, int
 
 def _check_residual(worst: float, norm: float) -> None:
     """Raise ArithmeticError unless the worst eigen-residual is within tolerance."""
-    if worst > _RESIDUAL_TOL * norm:
+    if not worst <= _RESIDUAL_TOL * norm:  # fails closed: NaN is not within it
         raise ArithmeticError(
             f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||M||"
         )
@@ -134,12 +135,13 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
     Backed by LAPACK's symmetric solver (numpy.linalg.eigh); the contract is
     the verified residual bound ||M v - lambda v|| <= 1e-8 ||M|| per pair,
     not the algorithm.  Raises ValueError if the input is asymmetric beyond
-    1e-12 (relative to its largest entry).
+    1e-12 (relative to its largest entry), and if it is empty, not square or
+    not finite.
     """
     mat = _as_array(matrix)
     scale = max(1.0, float(np.abs(mat).max()))
     asymmetry = float(np.abs(mat - mat.T).max())
-    if asymmetry > _SYMMETRY_TOL * scale:
+    if not asymmetry <= _SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asymmetry:.3e}")
     values, vectors = np.linalg.eigh(mat)
     norm = max(abs(float(values[0])), abs(float(values[-1])), 1e-300)

@@ -139,7 +139,7 @@ def tail_estimate(m: int, n: int, size: int) -> TailEstimate:
     (1/2 + telescoping_sum(k_max)) / size.  Both take the largest k_max
     :func:`tail_approximation` accepts, size // 10, which is reported.
     """
-    k_max = size // 10
+    k_max = _check_index(size, "size") // 10
     return TailEstimate(
         k_max=k_max,
         exact=boundary_contribution(m, n, size),

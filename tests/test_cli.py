@@ -244,6 +244,21 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("momtrunc: error: config file") and err.count("\n") == 1
 
+    def test_unreadable_config_files_are_usage_errors(self, tmp_path, capsys):
+        for cfg in (tmp_path / "missing.json", tmp_path):
+            assert run_cli(["table2", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"momtrunc: error: cannot read config file {cfg}: ")
+            assert err.count("\n") == 1
+
+    def test_config_file_must_hold_a_json_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        assert run_cli(["table2", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"momtrunc: error: config file {cfg} must hold a JSON object\n"
+        )
+
     @pytest.mark.parametrize(
         "command, key, value",
         [

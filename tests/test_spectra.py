@@ -52,6 +52,24 @@ class TestEigenSymmetric:
         report = eigen_symmetric(squared_momentum(31))
         assert sum(mult for _, mult in report.degeneracy_groups) == 31
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.full((2, 2), np.nan),
+            np.array([[0.0, np.inf], [np.inf, 0.0]]),
+            np.zeros((0, 0)),
+            np.zeros((2, 3)),
+        ],
+        ids=["nan", "inf", "empty", "non-square"],
+    )
+    def test_rejects_empty_non_square_and_non_finite_input(self, matrix):
+        with pytest.raises(ValueError, match="finite|square"):
+            eigen_symmetric(matrix)
+
+    def test_nan_residual_fails_the_check(self):
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            spectra._check_residual(float("nan"), 1.0)
+
 
 class TestSquaredMomentum:
     def test_order_two_matches_hand_computation(self):

@@ -137,3 +137,8 @@ class TestTailEstimate:
             math.isfinite(v)
             for v in (estimate.exact, estimate.near_boundary, estimate.telescoped)
         )
+
+    @pytest.mark.parametrize("size", ["x", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, size):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            tail_estimate(1, 2, size)
