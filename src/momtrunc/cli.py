@@ -232,7 +232,11 @@ def _run_p2check(pairs: Pairs, sizes: list[int]) -> Report:
 def _run_table2(sizes: list[int], delete_tail: int) -> Report:
     largest = sizes[-1]
     if delete_tail >= largest:
-        raise UsageError(f"delete_tail {delete_tail} must be < largest size {largest}")
+        default = EXPERIMENTS["table2"].defaults["delete_tail"]
+        raise UsageError(
+            f"--delete-tail must be < the largest size {largest}, got "
+            f"{delete_tail} (it defaults to {default})"
+        )
     requests = [(size, 0) for size in sizes[:-1]]
     if delete_tail > 0:
         requests.append((largest, delete_tail))

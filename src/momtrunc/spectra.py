@@ -52,11 +52,12 @@ _RESIDUAL_TOL = 1e-8
 # Relative gap below which adjacent eigenvalues share a degeneracy group.
 _GROUPING_TOL = 1e-6
 # Peak float64 arrays of ceil(N/2)^2 entries live while one block is factored:
-# W, its Gram matrix, eigh's copy, workspace and eigenvectors (measured for
-# table2 with delete-tail 3: 6.5 at N = 2000 and 6.2 at N = 4000, above the
-# interpreter's own ~31 MiB; 12 keeps a margin).  Blocks derived from it add
-# only _CHUNK x ceil(N/2) work arrays.  largest_order turns a byte budget
-# into the largest order this count admits.
+# five while eigh runs, the Gram matrix, eigh's copy of it, its workspace (two
+# arrays' worth) and the eigenvectors, W being let go until eigh returns
+# (measured for table2 with delete-tail 3: 5.6 at N = 2000 and 5.3 at
+# N = 4000, above the interpreter's own ~30 MiB; 12 keeps a margin).  Blocks
+# derived from it add only _CHUNK x ceil(N/2) work arrays.  largest_order
+# turns a byte budget into the largest order this count admits.
 _BLOCK_ARRAYS = 12
 
 
@@ -122,10 +123,15 @@ def _degeneracy_groups(values: np.ndarray, tol: float) -> tuple[tuple[float, int
 
 
 def _check_residual(worst: float, norm: float) -> None:
-    """Raise ArithmeticError unless the worst eigen-residual is within tolerance."""
-    if not worst <= _RESIDUAL_TOL * norm:  # fails closed: NaN is not within it
+    """Raise ArithmeticError unless the worst eigen-residual is within tolerance.
+
+    Fails closed: a NaN residual is not within it, and an overflowed (inf or
+    NaN) ||M|| admits no residual at all.
+    """
+    if not worst <= _RESIDUAL_TOL * norm < math.inf:
         raise ArithmeticError(
             f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||M||"
+            f" or ||M|| = {norm:.3e} is not finite"
         )
 
 
@@ -136,16 +142,18 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
     the verified residual bound ||M v - lambda v|| <= 1e-8 ||M|| per pair,
     not the algorithm.  Raises ValueError if the input is asymmetric beyond
     1e-12 (relative to its largest entry), and if it is empty, not square or
-    not finite.
+    not finite, and ArithmeticError if an eigenvalue or residual is not
+    finite (finite entries near the float64 limit can overflow).
     """
     mat = _as_array(matrix)
     scale = max(1.0, float(np.abs(mat).max()))
-    asymmetry = float(np.abs(mat - mat.T).max())
-    if not asymmetry <= _SYMMETRY_TOL * scale:
-        raise ValueError(f"matrix is not symmetric: max asymmetry {asymmetry:.3e}")
-    values, vectors = np.linalg.eigh(mat)
-    norm = max(abs(float(values[0])), abs(float(values[-1])), 1e-300)
-    residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        asymmetry = float(np.abs(mat - mat.T).max())
+        if not asymmetry <= _SYMMETRY_TOL * scale:
+            raise ValueError(f"matrix is not symmetric: max asymmetry {asymmetry:.3e}")
+        values, vectors = np.linalg.eigh(mat)
+        residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
+    norm = max(float(np.abs(values).max()), 1e-300)  # NaN stays NaN
     _check_residual(float(residuals.max()), norm)
     return SpectrumReport(values, _degeneracy_groups(values, _GROUPING_TOL))
 
@@ -189,13 +197,16 @@ def _factor_block(p: int, q: int) -> _Factored:
     Raises ArithmeticError when the largest residual ||T^T u - sigma b||,
     u = T b / sigma, exceeds the tolerance times sigma_max: the eigen-residual
     of [[0, W], [W^T, 0]], whose other side ||T b - sigma u|| is zero here.
+
+    T is not held while ``eigh`` runs, which reads only the Gram; it is built
+    again afterwards, bit for bit, so one block array fewer is live at peak.
     """
     if min(p, q) == 0:
         empty = (np.zeros(0), np.zeros((0, 0)))
         return _Factored(np.zeros(0), empty, empty)
-    t = _w_block(p, q) if p <= q else _w_block(p, q).T
     null = abs(p - q)
-    basis = np.linalg.eigh(t.T @ t)[1]
+    basis = np.linalg.eigh(_gram(p, q))[1]
+    t = _oriented_block(p, q)
     x = t @ basis
     m = x.T @ x  # from X, not the Gram: rounding eps ||W|| (sigma_i + sigma_j)
     quotients = m.diagonal().copy()
@@ -218,12 +229,26 @@ def _factor_block(p: int, q: int) -> _Factored:
     return _Factored(squares, *sides)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a bad root fails its bracket
-def _derived_squares(factored: _Factored, p: int, q: int) -> np.ndarray:
-    """Squared singular values of W(p, q), derived from a factored W(P, Q).
+def _oriented_block(p: int, q: int) -> np.ndarray:
+    """T of :func:`_factor_block`: W(p, q), or W(p, q)^T when p > q."""
+    return _w_block(p, q) if p <= q else _w_block(p, q).T
 
-    W(p, q) is W(P, Q) less its Q - q > 0 trailing columns, or less its
-    P - p > 0 trailing rows (at most ``_TAIL_ROWS`` of either).
+
+def _gram(p: int, q: int) -> np.ndarray:
+    """T^T T, with T let go on return: the eigensolve needs only the Gram."""
+    t = _oriented_block(p, q)
+    return t.T @ t
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a bad root fails its bracket
+def _derived_squares(
+    side: tuple[np.ndarray, np.ndarray], depth: int
+) -> list[np.ndarray]:
+    """Squared singular values of W(P, Q) less 1 to ``depth`` trailing columns.
+
+    ``side`` is the ``columns`` of a factored W(P, Q), or its ``rows`` to
+    delete trailing rows instead; ``depth`` is at most ``_TAIL_ROWS``.  One
+    array per deletion is returned, each derived once from the one before.
 
     Deleting the trailing column of W deletes the trailing row and column of
     W^T W = V diag(poles) V^T, whose remaining eigenvalues are the roots of
@@ -236,18 +261,16 @@ def _derived_squares(factored: _Factored, p: int, q: int) -> np.ndarray:
     (diag(poles) - mu_k)^-1 v, normalized, which give the next row's weights
     in O(n^2) without forming an eigenvector matrix.
     """
-    poles, tail = factored.columns
-    if q < poles.size:
-        tail = tail[q - poles.size :]
-    else:
-        poles, tail = factored.rows
-        tail = tail[p - poles.size :]
+    poles, tail = side
+    tail = tail[len(tail) - depth :]
+    derived = []
     while len(tail):
         last, tail = tail[-1], tail[:-1]
         origin, tau, _ = _secular_roots(poles, last * last)
         tail = _next_rows(tail, poles, last, origin, tau)
         poles = origin + tau
-    return poles
+        derived.append(poles)
+    return derived
 
 
 def _reciprocals(shifted: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -423,8 +446,14 @@ def singular_spectra(requests: list[tuple[int, int]]) -> list[np.ndarray]:
     if near:
         factored = _factor_block(*base)
         squares[base] = factored.squares
-        for block in near - {base}:
-            squares[block] = _derived_squares(factored, *block)
+        # Every near block shares P or Q with the base, so the deepest one on
+        # each side sets how many deletions that side derives.
+        depth = max(big_q - q for _, q in near)
+        for k, values in enumerate(_derived_squares(factored.columns, depth), 1):
+            squares[big_p, big_q - k] = values
+        depth = max(big_p - p for p, _ in near)
+        for k, values in enumerate(_derived_squares(factored.rows, depth), 1):
+            squares[big_p - k, big_q] = values
     spectra = []
     for (_, keep), (odd, even) in zip(kept, blocks):
         odd, even = squares[odd], squares[even]

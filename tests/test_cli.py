@@ -89,6 +89,15 @@ class TestTable2:
             assert run_cli(["table2", "--sizes", "9,10", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_deletion_above_the_largest_size_names_its_flag(self, capsys):
+        assert run_cli(["table2", "--sizes", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "momtrunc: error: --delete-tail must be < the largest size 1, "
+            "got 1 (it defaults to 1)\n"
+        )
+        assert run_cli(["table2", "--sizes", "1", "--delete-tail", "0"]) == 0
+
 
 class TestOtherCommands:
     def test_p2check_values(self, tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -69,6 +70,16 @@ class TestEigenSymmetric:
     def test_nan_residual_fails_the_check(self):
         with pytest.raises(ArithmeticError, match="residual nan"):
             spectra._check_residual(float("nan"), 1.0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1e308, 1e308], [1e308, 1e308]], [[1.7e308, 1e308], [1e308, 1.7e308]]],
+        ids=["inf-eigenvalue", "nan-residual"],
+    )
+    def test_rejects_finite_input_that_overflows(self, matrix):
+        # No RuntimeWarning may escape either: the suite turns them into errors.
+        with pytest.raises(ArithmeticError, match="is not finite"):
+            eigen_symmetric(np.array(matrix))
 
 
 class TestSquaredMomentum:
@@ -427,17 +438,52 @@ class TestSingularSpectrum:
 
     @pytest.mark.parametrize("order", [20, 41, 999, 1000])
     def test_derived_values_interlace_strictly(self, order):
-        p, q = base = (order + 1) // 2, order // 2
-        factored = spectra._factor_block(*base)
-        for (poles, _), blocks in (
-            (factored.columns, [(p, q - 1), (p, q - 2)]),
-            (factored.rows, [(p - 1, q), (p - 2, q)]),
-        ):
-            for block in blocks:
-                values = spectra._derived_squares(factored, *block)
+        factored = spectra._factor_block((order + 1) // 2, order // 2)
+        for side in (factored.columns, factored.rows):
+            poles = side[0]
+            derived = spectra._derived_squares(side, 2)
+            assert len(derived) == 2
+            for values in derived:
                 assert values.size == poles.size - 1
                 assert np.all(poles[:-1] < values) and np.all(values < poles[1:])
                 poles = values
+
+    def test_each_deletion_is_derived_once(self, monkeypatch):
+        # W(10, 9) is the first step towards W(10, 8): one secular solve each,
+        # and one more for the row deleted in W(9, 10).
+        calls = []
+        secular_roots = spectra._secular_roots
+
+        def counting_secular_roots(poles, weights):
+            calls.append(poles.size)
+            return secular_roots(poles, weights)
+
+        monkeypatch.setattr(spectra, "_secular_roots", counting_secular_roots)
+        singular_spectra([(19, 0), (20, 3), (20, 0)])
+        assert sorted(calls) == [9, 10, 10], calls
+
+    @pytest.mark.parametrize("block", [(300, 300), (301, 300)])
+    def test_eigensolve_holds_one_block_array(self, block, monkeypatch):
+        # numpy reports its array memory to tracemalloc; LAPACK's own copy and
+        # workspace are not traced, so this counts what the caller holds: the
+        # Gram, and W too if it were kept.
+        traced = []
+        eigh = np.linalg.eigh
+
+        def tracing_eigh(*args, **kwargs):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", tracing_eigh)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            spectra._factor_block(*block)
+        finally:
+            tracemalloc.stop()
+        [at_eigh] = traced
+        arrays = (at_eigh - start) / (8 * max(block) ** 2)
+        assert arrays < 1.5, arrays
 
     @pytest.mark.parametrize("order", [20, 41])
     def test_secular_brackets_hold_the_exact_roots(self, order):
