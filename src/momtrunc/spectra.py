@@ -44,7 +44,6 @@ __all__ = [
     "spectrum_pairing",
     "near_integer_check",
     "truncate_after_squaring",
-    "repair_convergence",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -125,13 +124,12 @@ def _degeneracy_groups(values: np.ndarray, tol: float) -> tuple[tuple[float, int
 def _check_residual(worst: float, norm: float) -> None:
     """Raise ArithmeticError unless the worst eigen-residual is within tolerance.
 
-    Fails closed: a NaN residual is not within it, and an overflowed (inf or
-    NaN) ||M|| admits no residual at all.
+    Fails closed: a NaN residual or ||M|| is not within it.
     """
-    if not worst <= _RESIDUAL_TOL * norm < math.inf:
+    if not worst <= _RESIDUAL_TOL * norm:
         raise ArithmeticError(
-            f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||M||"
-            f" or ||M|| = {norm:.3e} is not finite"
+            f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}"
+            f" * ||M|| = {norm:.3e}"
         )
 
 
@@ -140,21 +138,25 @@ def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
 
     Backed by LAPACK's symmetric solver (numpy.linalg.eigh); the contract is
     the verified residual bound ||M v - lambda v|| <= 1e-8 ||M|| per pair,
-    not the algorithm.  Raises ValueError if the input is asymmetric beyond
-    1e-12 (relative to its largest entry), and if it is empty, not square or
-    not finite, and ArithmeticError if an eigenvalue or residual is not
-    finite (finite entries near the float64 limit can overflow).
+    not the algorithm.  Both checks run on M divided by the power of two at
+    or below its largest |entry|, which is exact and keeps every product
+    finite.  Raises ValueError if the input is asymmetric beyond 1e-12 of
+    that power, empty, not square or not finite, and ArithmeticError if an
+    eigenvalue overflows once scaled back.
     """
     mat = _as_array(matrix)
-    scale = max(1.0, float(np.abs(mat).max()))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        asymmetry = float(np.abs(mat - mat.T).max())
-        if not asymmetry <= _SYMMETRY_TOL * scale:
-            raise ValueError(f"matrix is not symmetric: max asymmetry {asymmetry:.3e}")
-        values, vectors = np.linalg.eigh(mat)
-        residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
-    norm = max(float(np.abs(values).max()), 1e-300)  # NaN stays NaN
-    _check_residual(float(residuals.max()), norm)
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(mat).max()))[1] - 1)
+    mat = mat / unit
+    asymmetry = float(np.abs(mat - mat.T).max())
+    if not asymmetry <= _SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric: asymmetry {asymmetry * unit:.3e}")
+    values, vectors = np.linalg.eigh(mat)
+    residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
+    _check_residual(float(residuals.max()), float(np.abs(values).max()))
+    with np.errstate(over="ignore"):  # refused below
+        values *= unit
+    if not np.isfinite(values).all():
+        raise ArithmeticError("an eigenvalue overflows: it is not finite")
     return SpectrumReport(values, _degeneracy_groups(values, _GROUPING_TOL))
 
 
@@ -265,9 +267,7 @@ def _derived_squares(
     tail = tail[len(tail) - depth :]
     derived = []
     while len(tail):
-        last, tail = tail[-1], tail[:-1]
-        origin, tau, _ = _secular_roots(poles, last * last)
-        tail = _next_rows(tail, poles, last, origin, tau)
+        origin, tau, _, tail = _secular_roots(poles, tail[-1], tail[:-1])
         poles = origin + tau
         derived.append(poles)
     return derived
@@ -280,15 +280,17 @@ def _reciprocals(shifted: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _secular_roots(
-    poles: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    poles: np.ndarray, last: np.ndarray, tail: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of f(mu) = sum_i weights_i / (poles_i - mu), one per pole gap.
 
-    ``poles`` ascend strictly and ``weights`` are positive, so f rises from
-    -inf to +inf between adjacent poles and each gap holds one root.  A root
-    is kept in shifted coordinates mu = origin + tau, with origin the end of
-    its gap nearer to it (the sign of f at the gap's midpoint says which), so
-    that poles_i - mu = (poles_i - origin) - tau keeps its relative accuracy
+    ``weights`` are ``last**2``, for ``last`` the row being deleted and
+    ``tail`` the rows kept above it.  ``poles`` ascend strictly and the
+    weights are positive, so f rises from -inf to +inf between adjacent
+    poles and each gap holds one root.  A root is kept in shifted
+    coordinates mu = origin + tau, with origin the end of its gap nearer to
+    it (the sign of f at the gap's midpoint says which), so that
+    poles_i - mu = (poles_i - origin) - tau keeps its relative accuracy
     however close mu is to a pole.  tau is found by Li's "middle way"
     (SIAM J. Sci. Comput. 1994): f's parts left and right of mu are each
     modelled by one pole at the gap's end and a constant, matching value and
@@ -297,15 +299,20 @@ def _secular_roots(
     instead.  Iteration stops when the step is at rounding level or |f| is
     below 8 eps sum_i |weights_i / (poles_i - mu)|.
 
-    Returns (origin, tau, radius): both ends tau -/+ radius lie inside the
-    gap, and f evaluated there is negative and positive by more than the
-    bound on its rounding error, so f changes sign between them in exact
-    arithmetic too.  radius starts where f's slope should carry it past that
-    bound and widens 16-fold where it does not.  Raises ArithmeticError when
-    no such bracket is found.
+    Returns (origin, tau, radius, rotated): both ends tau -/+ radius lie
+    inside the gap, and f evaluated there is negative and positive by more
+    than the bound on its rounding error, so f changes sign between them in
+    exact arithmetic too.  radius starts where f's slope should carry it
+    past that bound and widens 16-fold where it does not.  Raises
+    ArithmeticError when no such bracket is found.  ``rotated`` holds the
+    rows of ``tail`` in the eigenbasis left after the deletion, whose vector
+    for root mu_k is (diag(poles) - mu_k)^-1 last, normalized, with
+    poles_i - mu_k taken in the root's shifted coordinates.
     """
     count = poles.size - 1
+    weights = last * last
     origin, tau, radius = np.empty(count), np.empty(count), np.empty(count)
+    rotated = np.empty((len(tail), count))
     # Bound on |computed f - f| over sum_i |weights_i / (poles_i - mu)|: a
     # few roundings per term, then a sum of poles.size terms in any order.
     rounding = (poles.size + 8) * _EPS
@@ -365,30 +372,10 @@ def _secular_roots(
                 f"of {count} roots"
             )
         tau[k], radius[k] = t, width
-    return origin, tau, radius
-
-
-def _next_rows(
-    tail: np.ndarray,
-    poles: np.ndarray,
-    last: np.ndarray,
-    origin: np.ndarray,
-    tau: np.ndarray,
-) -> np.ndarray:
-    """Rows of ``tail`` in the eigenbasis left after deleting ``last``.
-
-    The eigenvector for root mu_k is (diag(poles) - mu_k)^-1 last, normalized,
-    with poles_i - mu_k taken in the root's shifted coordinates.
-    """
-    rotated = np.empty((len(tail), tau.size))
-    if len(tail):
-        for start in range(0, tau.size, _CHUNK):
-            k = slice(start, start + _CHUNK)
-            r = _reciprocals(poles - origin[k, None], tau[k])
-            r *= last
-            r /= np.linalg.norm(r, axis=1)[:, None]
-            rotated[:, k] = tail @ r.T
-    return rotated
+        if len(tail):  # the eigenvectors at the roots, normalized
+            r = _reciprocals(shifted, t) * last
+            rotated[:, k] = tail @ (r / np.linalg.norm(r, axis=1)[:, None]).T
+    return origin, tau, radius, rotated
 
 
 def _check_deleted_tail(build_order: int, deleted_tail: int) -> int:
@@ -546,32 +533,9 @@ def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMat
     and close to the exact squares 1, 4, 9, ...: the ten lowest are within
     a relative 3.34e-3 of them at build order 1000.  More deletions need
     not narrow that error: it is 3.34e-3 again with two and 2.94e-3 with
-    three (see :func:`repair_convergence`).
+    three.
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)
     return TruncatedMatrix(_square_array(build_order)[:keep, :keep])
 
-
-def repair_convergence(
-    build_order: int, deleted_tails: list[int]
-) -> list[tuple[int, float]]:
-    """Accuracy of the delete-after-squaring repair for each deletion count.
-
-    For each d the metric is the maximum relative error of the ten lowest
-    eigenvalues of the repaired matrix against the exact values 1, 4, 9,
-    ..., 100.  Empirically the metric does not increase with d; callers can
-    verify that on the returned series.
-    """
-    build_order = _check_index(build_order, "build_order")
-    deleted_tails = [_check_deleted_tail(build_order, d) for d in deleted_tails]
-    if not deleted_tails:
-        raise ValueError("deleted_tails must be nonempty")
-    if build_order - max(deleted_tails) < 10:
-        raise ValueError("need at least 10 surviving rows to compare eigenvalues")
-    exact = np.arange(1.0, 11.0) ** 2
-    found = singular_spectra([(build_order, d) for d in deleted_tails])
-    return [
-        (d, float(np.max(np.abs(values[:10] - exact) / exact)))
-        for d, values in zip(deleted_tails, found)
-    ]

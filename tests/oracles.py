@@ -53,6 +53,28 @@ def svd_squares(p: int, q: int) -> np.ndarray:
     return np.linalg.svd(_w_block(p, q), compute_uv=False)[::-1] ** 2
 
 
+def w_inverse(q: int) -> np.ndarray:
+    """W(q, q)^-1 in closed form, from the inverse of its Cauchy matrix.
+
+    W = -(4/pi) D_m C D_n with C_ij = 1/(x_i - y_j), x_i = (2i - 1)^2 and
+    y_j = (2j)^2, so W^-1_ij = g_i h_j / (x_j - y_i) with h_j = alpha_j /
+    sqrt(x_j), alpha_j = prod_k (x_j - y_k) / prod_(k != j) (x_j - x_k), and
+    g_i = (-1)^q (pi/4) beta_i / sqrt(y_i), beta_i = prod_k (x_k - y_i) /
+    prod_(k != i) (y_i - y_k) (Schechter, MTAC 13, 1959).  Every factor is
+    a product of ratios of exact integers, so each entry has a small
+    relative error, and the largest singular values of W^-1 give the
+    smallest of W independently of any eigensolve of W.
+    """
+    x = (2.0 * np.arange(1, q + 1) - 1.0) ** 2
+    y = (2.0 * np.arange(1, q + 1)) ** 2
+    off = ~np.eye(q, dtype=bool)
+    alpha = np.prod((x[:, None] - y) / np.where(off, x[:, None] - x, 1.0), axis=1)
+    beta = np.prod((x - y[:, None]) / np.where(off, y[:, None] - y, 1.0), axis=1)
+    g = (-1) ** q * (math.pi / 4) * beta / np.sqrt(y)
+    h = alpha / np.sqrt(x)
+    return g[:, None] * h / (x - y[:, None])
+
+
 def _close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol * max(abs(x), abs(y))
 

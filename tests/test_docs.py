@@ -1,10 +1,13 @@
+import inspect
 import re
 import shlex
 from pathlib import Path
 
+import momtrunc
 from momtrunc.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_example_runs_as_written():
@@ -25,3 +28,30 @@ def test_cli_example_prints_as_shown(capsys):
     assert program == "momtrunc"
     assert main(args) == 0
     assert capsys.readouterr().out == printed
+
+
+def test_every_public_function_has_a_caller():
+    # Named in another src/momtrunc module, the acceptance suite, the
+    # benchmark or README's Library block; classes and __version__ are exempt.
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    elsewhere = [
+        library.split("\n## ", 1)[0],
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"),
+        *(
+            path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "perfbench").rglob("*"))
+            if path.is_file() and "__pycache__" not in path.parts
+        ),
+    ]
+    modules = sorted((ROOT / "src" / "momtrunc").glob("*.py"))
+    caller_less = []
+    for name in momtrunc.__all__:
+        function = getattr(momtrunc, name)
+        if not inspect.isfunction(function):
+            continue
+        own = Path(inspect.getfile(function)).resolve()
+        others = [path for path in modules if path.resolve() != own]
+        texts = elsewhere + [path.read_text(encoding="utf-8") for path in others]
+        if not any(re.search(rf"\b{name}\b", text) for text in texts):
+            caller_less.append(name)
+    assert caller_less == []

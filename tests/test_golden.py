@@ -1,9 +1,12 @@
 """Report bytes of the default experiments against frozen copies.
 
 ``tests/golden`` holds every default CSV report, every default JSON report
-except ``table2``'s, and one small ``table2`` JSON report.  The default
+except ``table2``'s, and three small ``table2`` JSON reports.  The default
 ``table2`` JSON is left out because its full-precision eigenvalues change
-with the BLAS thread count; the CSVs and the small JSON do not.
+with the BLAS thread count; the CSVs and the small JSONs do not.  At
+``--delete-tail 3`` the small ones derive two deletions from one factored
+block, the rows side at sizes 40,41 (through the null vector's pole) and
+the columns side at 59,60, so they pin the tail-row rotation between them.
 """
 
 import contextlib
@@ -25,9 +28,11 @@ CASES = (
     ]
     + [
         (
-            "table2-sizes-9-10-delete-tail-2.json",
-            ["table2", "--sizes", "9,10", "--delete-tail", "2", "--format", "json"],
+            f"table2-sizes-{small}-{large}-delete-tail-{d}.json",
+            ["table2", "--sizes", f"{small},{large}", "--delete-tail", str(d)]
+            + ["--format", "json"],
         )
+        for small, large, d in [(9, 10, 2), (40, 41, 3), (59, 60, 3)]
     ]
 )
 

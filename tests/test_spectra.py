@@ -15,14 +15,13 @@ from momtrunc.spectra import (
     PairingReport,
     eigen_symmetric,
     near_integer_check,
-    repair_convergence,
     singular_spectra,
     singular_spectrum,
     spectrum_pairing,
     squared_momentum,
     truncate_after_squaring,
 )
-from oracles import dense_pairing, svd_squares
+from oracles import dense_pairing, svd_squares, w_inverse
 
 A12_SQ = (8.0 / (3.0 * math.pi)) ** 2
 
@@ -80,6 +79,24 @@ class TestEigenSymmetric:
         # No RuntimeWarning may escape either: the suite turns them into errors.
         with pytest.raises(ArithmeticError, match="is not finite"):
             eigen_symmetric(np.array(matrix))
+
+    @staticmethod
+    def random_symmetric():
+        raw = np.random.default_rng(3).standard_normal((3, 3))
+        return raw + raw.T
+
+    def test_power_of_two_scaling_is_exact(self):
+        s = self.random_symmetric()
+        scaled = eigen_symmetric(2.0**1000 * s).eigenvalues
+        assert np.array_equal(scaled, 2.0**1000 * eigen_symmetric(s).eigenvalues)
+
+    def test_large_finite_entries_pass(self):
+        values = eigen_symmetric(1e300 * self.random_symmetric()).eigenvalues
+        assert np.isfinite(values).all()
+
+    def test_tiny_asymmetric_input_is_refused(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigen_symmetric(np.array([[1e-15, 1e-20], [0.0, 1e-15]]))
 
 
 class TestSquaredMomentum:
@@ -291,6 +308,34 @@ class TestScaleLaw:
         assert f"{(1 - c / 1000) ** 2:.6f}" == "0.996663"
 
 
+class TestClosedFormInverse:
+    """The lowest singular values against the closed form of W(q, q)^-1."""
+
+    @pytest.mark.parametrize("q", [30, 60])
+    def test_inverts_the_block(self, q):
+        product = w_inverse(q) @ _w_block(q, q)
+        assert np.abs(product - np.eye(q)).max() <= 1e-14
+
+    @pytest.mark.parametrize("order", [1000, 2000])
+    def test_ten_lowest_values(self, order):
+        lowest = singular_spectra([(order, 0)])[0][:20:2]
+        largest = np.linalg.svd(w_inverse(order // 2), compute_uv=False)[:10]
+        assert np.abs(lowest * largest**2 - 1.0).max() <= 3e-14
+
+
+def ten_lowest_errors(build_order, deleted_tails):
+    """Worst relative error of the ten lowest eigenvalues against 1, 4, ..., 100.
+
+    One error per deletion count, for the square of ``build_order`` repaired
+    by deleting that many trailing rows and columns.
+    """
+    found = singular_spectra([(build_order, d) for d in deleted_tails])
+    if not found or min(values.size for values in found) < 10:
+        raise ValueError("need a deletion count leaving at least 10 eigenvalues")
+    exact = np.arange(1.0, 11.0) ** 2
+    return [float(np.max(np.abs(values[:10] - exact) / exact)) for values in found]
+
+
 class TestRepair:
     def test_zero_deletion_is_identity(self):
         assert np.array_equal(
@@ -322,32 +367,31 @@ class TestRepair:
             truncate_after_squaring(10, -1)
 
     def test_error_metric_non_increasing_in_deletions(self):
-        series = repair_convergence(200, [1, 10, 50])
-        errors = [err for _, err in series]
+        errors = ten_lowest_errors(200, [1, 10, 50])
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_unrepaired_spectrum_is_flagged_by_large_error(self):
-        [(_, err0)] = repair_convergence(200, [0])
-        [(_, err1)] = repair_convergence(200, [1])
+        [err0] = ten_lowest_errors(200, [0])
+        [err1] = ten_lowest_errors(200, [1])
         # without deletion the doubled eigenvalues sit far from 1, 4, 9, ...
         assert err0 > 0.5
         assert err1 < 0.1
 
     def test_takes_one_svd_for_nearby_deletions(self, eigh_calls):
-        repair_convergence(200, [1, 2, 3])
+        ten_lowest_errors(200, [1, 2, 3])
         assert eigh_calls == [(100, 100)], eigh_calls  # one, of order N/2
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
-            repair_convergence(100, [])
+            ten_lowest_errors(100, [])
         with pytest.raises(ValueError):
-            repair_convergence(100, [100])
+            ten_lowest_errors(100, [100])
         with pytest.raises(ValueError):
-            repair_convergence(15, [10])
+            ten_lowest_errors(15, [10])
         with pytest.raises(ValueError):
-            repair_convergence(100, ["a"])
+            ten_lowest_errors(100, ["a"])
         with pytest.raises(ValueError):
-            repair_convergence(100, [None])
+            ten_lowest_errors(100, [None])
 
 
 def blocks_of(order, deleted_tail):
@@ -454,9 +498,9 @@ class TestSingularSpectrum:
         calls = []
         secular_roots = spectra._secular_roots
 
-        def counting_secular_roots(poles, weights):
+        def counting_secular_roots(poles, last, tail):
             calls.append(poles.size)
-            return secular_roots(poles, weights)
+            return secular_roots(poles, last, tail)
 
         monkeypatch.setattr(spectra, "_secular_roots", counting_secular_roots)
         singular_spectra([(19, 0), (20, 3), (20, 0)])
@@ -490,7 +534,7 @@ class TestSingularSpectrum:
         factored = spectra._factor_block((order + 1) // 2, order // 2)
         for poles, tail in (factored.columns, factored.rows):
             weights = tail[-1] ** 2
-            origin, tau, radius = spectra._secular_roots(poles, weights)
+            origin, tau, radius, _ = spectra._secular_roots(poles, tail[-1], tail[:-1])
             with mpmath.workdps(40):
                 exact_poles = [mpmath.mpf(float(x)) for x in poles]
 
