@@ -17,7 +17,8 @@ declares; ``format`` and ``out`` only shape the output.
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
 accepts under a fixed memory limit), decided before any computation; 1
-runtime failure (an unwritable output path, a failed eigensolve residual
+runtime failure (an unwritable output path, refused before any computation
+if its directory is missing or not writable, a failed eigensolve residual
 check, or any other error the library raises), reported as one
 ``momtrunc: error:`` line.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,6 +183,13 @@ def _check_memory(command: str, cfg: dict[str, Any]) -> None:
             f"{_MAX_DENSE_BYTES / 2**30:.0f} GiB memory limit; "
             f"sizes are accepted up to N = {limit}"
         )
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an output path whose directory is missing or not writable."""
+    directory = os.path.dirname(out or "") or "."
+    if out and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"cannot write {out}: {directory} is not a writable directory")
 
 
 # --- report builders -------------------------------------------------------
@@ -451,13 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble_config(args)
         _check_memory(args.command, cfg)
+        _check_out(cfg["out"])
         columns, rows = experiment.run(**{key: cfg[key] for key in experiment.defaults})
-    except UsageError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (ValueError, ArithmeticError) as exc:
-        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
-        return 1
-    try:
         if cfg["format"] == "csv":
             text = _render_csv(columns, rows)
         else:
@@ -467,7 +471,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except OSError as exc:
+    except UsageError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 1
     return 0

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "TruncatedMatrix",
     "momentum_entry",
     "momentum_row",
     "momentum_array",
@@ -30,26 +28,6 @@ __all__ = [
     "p3_naive_entry",
     "p3_hermitian_entry",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedMatrix:
-    """Dense real matrix truncated to basis labels 1..order.
-
-    ``entries[i, j]`` holds the element for basis labels (i+1, j+1).
-    Entries built by this package are read-only; copy before mutating.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = self.entries.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
-            raise ValueError(f"entries must be square and nonempty, got shape {shape}")
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
 
 
 def _check_index(value: int, name: str = "index", least: int = 1) -> int:

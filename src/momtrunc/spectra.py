@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import TruncatedMatrix, _check_index, _square_array, _w_block
+from .operator import _check_index, _square_array, _w_block
 
 __all__ = [
     "SpectrumReport",
@@ -52,11 +52,11 @@ _RESIDUAL_TOL = 1e-8
 _GROUPING_TOL = 1e-6
 # Peak float64 arrays of ceil(N/2)^2 entries live while one block is factored:
 # five while eigh runs, the Gram matrix, eigh's copy of it, its workspace (two
-# arrays' worth) and the eigenvectors, W being let go until eigh returns
-# (measured for table2 with delete-tail 3: 5.6 at N = 2000 and 5.3 at
-# N = 4000, above the interpreter's own ~30 MiB; 12 keeps a margin).  Blocks
-# derived from it add only _CHUNK x ceil(N/2) work arrays.  largest_order
-# turns a byte budget into the largest order this count admits.
+# arrays' worth) and the eigenvectors, W being let go until eigh returns,
+# and four after it (measured for table2 with delete-tail 3: 5.6 at N = 2000
+# and 5.3 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a
+# margin).  Blocks derived from it add only _CHUNK x ceil(N/2) work arrays.
+# largest_order turns a byte budget into the largest order this count admits.
 _BLOCK_ARRAYS = 12
 
 
@@ -96,9 +96,8 @@ class NearInteger:
     error: float
 
 
-def _as_array(matrix: TruncatedMatrix | np.ndarray) -> np.ndarray:
-    entries = matrix.entries if isinstance(matrix, TruncatedMatrix) else matrix
-    arr = np.asarray(entries, dtype=float)
+def _as_array(matrix: np.typing.ArrayLike) -> np.ndarray:
+    arr = np.asarray(matrix).astype(float, casting="same_kind", copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -133,16 +132,16 @@ def _check_residual(worst: float, norm: float) -> None:
         )
 
 
-def eigen_symmetric(matrix: TruncatedMatrix | np.ndarray) -> SpectrumReport:
-    """All eigenvalues of a dense real symmetric matrix, ascending.
+def eigen_symmetric(matrix: np.typing.ArrayLike) -> SpectrumReport:
+    """All eigenvalues of a dense real symmetric matrix (any array-like), ascending.
 
     Backed by LAPACK's symmetric solver (numpy.linalg.eigh); the contract is
     the verified residual bound ||M v - lambda v|| <= 1e-8 ||M|| per pair,
     not the algorithm.  Both checks run on M divided by the power of two at
-    or below its largest |entry|, which is exact and keeps every product
-    finite.  Raises ValueError if the input is asymmetric beyond 1e-12 of
-    that power, empty, not square or not finite, and ArithmeticError if an
-    eigenvalue overflows once scaled back.
+    or below its largest |entry|, exact and keeping every product finite.
+    Raises TypeError if an entry is not real, ValueError if M is asymmetric
+    beyond 1e-12 of that power, empty, not square or not finite, and
+    ArithmeticError if an eigenvalue overflows once scaled back.
     """
     mat = _as_array(matrix)
     unit = math.ldexp(1.0, math.frexp(float(np.abs(mat).max()))[1] - 1)
@@ -167,6 +166,8 @@ _MAX_STEPS = 40
 # Trailing rows of U and V (W = U diag(sigma) V^T) kept per factored block:
 # derived blocks lie within this many deleted rows or columns of it.
 _TAIL_ROWS = 2
+# Rows of R = M / (lambda_i - lambda_j) formed at a time: no gap matrix is built.
+_SLAB = 64
 _EPS = float(np.finfo(float).eps)
 
 
@@ -201,7 +202,8 @@ def _factor_block(p: int, q: int) -> _Factored:
     of [[0, W], [W^T, 0]], whose other side ||T b - sigma u|| is zero here.
 
     T is not held while ``eigh`` runs, which reads only the Gram; it is built
-    again afterwards, bit for bit, so one block array fewer is live at peak.
+    again afterwards, bit for bit.  Then R is formed ``_SLAB`` rows at a time
+    and X and B are rescaled in place, so at most four block arrays live.
     """
     if min(p, q) == 0:
         empty = (np.zeros(0), np.zeros((0, 0)))
@@ -213,18 +215,22 @@ def _factor_block(p: int, q: int) -> _Factored:
     m = x.T @ x  # from X, not the Gram: rounding eps ||W|| (sigma_i + sigma_j)
     quotients = m.diagonal().copy()
     squares, sigma = quotients[null:], np.sqrt(quotients[null:])
-    gap = quotients[:, None] - quotients
-    gap[:null, :null] = np.inf  # the null block's rotation is free
-    np.fill_diagonal(gap, np.inf)
-    m /= gap  # R, in place
-    del gap
+    for start in range(0, len(m), _SLAB):  # R, in place
+        gap = quotients[start : start + _SLAB, None] - quotients
+        # The null block's rotation is free, and so is each vector's own.
+        gap[: max(null - start, 0), :null] = np.inf
+        gap.ravel()[start :: len(m) + 1] = np.inf  # at (i, start + i)
+        m[start : start + _SLAB] /= gap
+        del gap  # before the next slab's is built
     tails = (basis[-_TAIL_ROWS:], x[-_TAIL_ROWS:])
     long_tail, short_tail = (tail - tail @ m for tail in tails)
     del m
     long_side = (np.concatenate([np.zeros(null), squares]), long_tail)
     short_side = (squares, short_tail[:, null:] / sigma)
-    back = t.T @ (x[:, null:] / sigma)
-    back -= basis[:, null:] * sigma
+    x[:, null:] /= sigma  # U, with the tail rows taken
+    basis[:, null:] *= sigma
+    back = t.T @ x[:, null:]
+    back -= basis[:, null:]
     worst = float(np.sqrt(np.einsum("ij,ij->j", back, back).max()))
     _check_residual(worst, max(float(sigma[-1]), 1e-300))
     sides = (long_side, short_side) if p <= q else (short_side, long_side)
@@ -464,10 +470,9 @@ def largest_order(budget: int) -> int:
     return 2 * math.isqrt(budget // (8 * _BLOCK_ARRAYS))
 
 
-def squared_momentum(size: int) -> TruncatedMatrix:
-    """Square of the size-truncated momentum matrix (plain, symmetric, PSD)."""
-    size = _check_index(size, "size")
-    return TruncatedMatrix(_square_array(size))
+def squared_momentum(size: int) -> np.ndarray:
+    """Read-only square of the size-truncated momentum matrix (symmetric, PSD)."""
+    return _square_array(_check_index(size, "size"))
 
 
 def spectrum_pairing(size: int) -> PairingReport:
@@ -507,11 +512,21 @@ def near_integer_check(size: int) -> list[NearInteger]:
 
     The positive eigenvalue magnitudes of the truncation are the integers
     r_k of parity opposite to the order N, shrunk by one factor:
-    sigma_k = r_k (1 - c(N)/N).  As fitted to the ten lowest, c = 1.6696,
-    1.6698, 1.8117 and 1.9531 at N = 999, 1000, 2000 and 4000, spreading by
-    less than 1e-3 over k <= 20, and c(N) - (2/pi^2) ln N rises slowly, from
-    0.2700 at N = 1000 to 0.2724 at N = 4000.  So the error r_k c(N)/N is
-    about 1.67e-3 r at order 1000 (1.67e-3 at r = 1, 1.17e-2 at r = 7).
+    sigma_k = r_k (1 - c(N)/N), with c the mean over the ten lowest.  Fitted
+    through N = 6000 and 40000, c(N) = (2/pi^2)(ln N + kappa) - 0.564 ln N / N
+    with kappa ~ 1.3497, from these values of the closed-form inverse of W:
+
+        N        c(N)       spread over k <= 10   c - (2/pi^2) ln N
+        6000     2.035576   4.4e-6                0.27269
+        13376    2.19844    1.0e-6                0.27309
+        20000    2.280082   4.7e-7                0.27322
+        40000    2.420681   1.3e-7                0.27335
+        100000   2.606454   2.8e-8                0.27345
+
+    The law gives c as measured at N = 999, 1000, 2000 and 4000 (1.6696,
+    1.6698, 1.8117, 1.9531) within 4.4e-4, 4.3e-4, 1.3e-4 and 2.1e-5, where
+    the spread over k <= 20 is below 1e-3.  So the error r_k c(N)/N is about
+    1.67e-3 r at order 1000 (1.67e-3 at r = 1, 1.17e-2 at r = 7).
     Returns one record per opposite pair +/-sigma, that is per singular
     value sigma of W(ceil(N/2), floor(N/2)), each the square root of a
     Rayleigh quotient (:func:`_factor_block`): floor(N/2) records, ascending.
@@ -524,18 +539,18 @@ def near_integer_check(size: int) -> list[NearInteger]:
     return [NearInteger(x, r, abs(x - r)) for x, r in zip(magnitudes, references)]
 
 
-def truncate_after_squaring(build_order: int, deleted_tail: int) -> TruncatedMatrix:
+def truncate_after_squaring(build_order: int, deleted_tail: int) -> np.ndarray:
     """Square the truncation first, then delete trailing rows and columns.
 
     ``deleted_tail`` rows and columns with the largest basis labels are
     removed from the squared matrix (labels in the original 1..build_order
-    ordering).  With one deletion the surviving spectrum is nondegenerate
-    and close to the exact squares 1, 4, 9, ...: the ten lowest are within
-    a relative 3.34e-3 of them at build order 1000.  More deletions need
-    not narrow that error: it is 3.34e-3 again with two and 2.94e-3 with
-    three.
+    ordering); the result is a read-only view of it.  With one deletion the
+    surviving spectrum is nondegenerate and close to the exact squares 1, 4,
+    9, ...: the ten lowest are within a relative 3.34e-3 of them at build
+    order 1000.  More deletions need not narrow that error: it is 3.34e-3
+    again with two and 2.94e-3 with three.
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)
-    return TruncatedMatrix(_square_array(build_order)[:keep, :keep])
+    return _square_array(build_order)[:keep, :keep]
 

@@ -143,9 +143,9 @@ def test_criterion_4_pairing_and_degeneracy(eig1000, eig_repaired):
 
 def test_criterion_5_block_identity():
     """Deleting the trailing row/column preserves parity blocks exactly."""
-    repaired = spectra.truncate_after_squaring(1000, 1).entries
-    full = spectra.squared_momentum(1000).entries
-    smaller = spectra.squared_momentum(999).entries
+    repaired = spectra.truncate_after_squaring(1000, 1)
+    full = spectra.squared_momentum(1000)
+    smaller = spectra.squared_momentum(999)
     odd = np.arange(0, 999, 2)
     even = np.arange(1, 999, 2)
     odd_ok = np.array_equal(repaired[np.ix_(odd, odd)], full[np.ix_(odd, odd)])

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps library functions it looks up by name, and
 ``perfbench/checks.py`` compares the default reports with recorded ones.  A
 rename or deletion that would break either fails here, and so does an array
-sweep that no longer runs or sums the wrong products.
+sweep that no longer runs or sums the wrong products, or a spectra sweep
+that no longer times each size or finds N eigenvalues at size N.
 """
 
 import contextlib
@@ -66,7 +67,6 @@ def test_default_report_passes_reference_check(command):
 
 
 def test_array_sweep_times_every_size_and_sums_the_triple_products():
-    # The spectra sweep is left out: its dense eigh at N = 4000 takes ~12 s.
     result = tracer.sweep_arrays()
     sizes = tracer.SWEEP_SIZES
     assert sorted(result["times"]) == sorted(
@@ -79,3 +79,19 @@ def test_array_sweep_times_every_size_and_sums_the_triple_products():
     assert values == [triple_product_sum(1, 2, size) for size in sizes]
     errors = [abs(value - p3_hermitian_entry(1, 2)) for value in values]
     assert errors[0] > errors[1] > errors[2]
+
+
+def test_spectra_sweep_times_every_size_and_counts_the_eigenvalues(monkeypatch):
+    # At the benchmark's sizes the dense eigh takes ~12 s; the sweep's shape
+    # is the same at small ones.  It replaces numpy.linalg.eigh for good.
+    sizes = (10, 20, 40)
+    monkeypatch.setattr(tracer, "SWEEP_SIZES", sizes)
+    monkeypatch.setattr(np.linalg, "eigh", np.linalg.eigh)
+    result = tracer.sweep_spectra()
+    assert sorted(result["times"]) == sorted(
+        f"{layer}.n{size}_s"
+        for layer in ("squared_momentum", "eigh", "eigen_symmetric")
+        for size in sizes
+    )
+    assert all(0.0 < seconds < 60.0 for seconds in result["times"].values())
+    assert result["values"] == {f"eigenvalues.n{size}": size for size in sizes}

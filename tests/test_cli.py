@@ -311,6 +311,19 @@ class TestConfigAndErrors:
         )
         assert code == 1
 
+    def test_missing_output_directory_is_refused_before_computing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(p, q):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr(spectra, "_factor_block", refuse)
+        missing = tmp_path / "no" / "out.csv"
+        assert run_cli(["table2", "--sizes", "4000", "--out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("momtrunc: error: cannot write") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_default(self, capsys):
         assert run_cli(["assoc", "--pairs", "1,2"]) == 0
         captured = capsys.readouterr()

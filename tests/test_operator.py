@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import momtrunc
 from momtrunc import operator, products, spectra, tails
 from momtrunc.operator import (
-    TruncatedMatrix,
     momentum_array,
     momentum_entry,
     momentum_row,
@@ -187,15 +186,6 @@ class TestMatrixBuilders:
         a = momentum_array(10)
         with pytest.raises(ValueError):
             a[0, 1] = 5.0
-
-    def test_truncated_matrix_validates_shape(self):
-        with pytest.raises(ValueError):
-            TruncatedMatrix(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            TruncatedMatrix(np.zeros((0, 0)))
-        with pytest.raises(ValueError):
-            TruncatedMatrix(np.zeros(4))
-        assert TruncatedMatrix(np.zeros((3, 3))).order == 3
 
     def test_square_is_parity_decoupled_exactly(self):
         square = operator._square_array(7)

@@ -21,7 +21,7 @@ from momtrunc.spectra import (
     squared_momentum,
     truncate_after_squaring,
 )
-from oracles import dense_pairing, svd_squares, w_inverse
+from oracles import dense_pairing, lowest_squares, svd_squares, w_inverse
 
 A12_SQ = (8.0 / (3.0 * math.pi)) ** 2
 
@@ -59,12 +59,18 @@ class TestEigenSymmetric:
             np.array([[0.0, np.inf], [np.inf, 0.0]]),
             np.zeros((0, 0)),
             np.zeros((2, 3)),
+            np.zeros(4),
         ],
-        ids=["nan", "inf", "empty", "non-square"],
+        ids=["nan", "inf", "empty", "non-square", "one-dimensional"],
     )
     def test_rejects_empty_non_square_and_non_finite_input(self, matrix):
         with pytest.raises(ValueError, match="finite|square"):
             eigen_symmetric(matrix)
+
+    def test_rejects_complex_input(self):
+        # A cast to float would drop P's imaginary entries and report zeros.
+        with pytest.raises(TypeError):
+            eigen_symmetric(1j * momentum_array(4))
 
     def test_nan_residual_fails_the_check(self):
         with pytest.raises(ArithmeticError, match="residual nan"):
@@ -102,20 +108,25 @@ class TestEigenSymmetric:
 class TestSquaredMomentum:
     def test_order_two_matches_hand_computation(self):
         square = squared_momentum(2)
-        assert square.entries[0, 0] == pytest.approx(A12_SQ, rel=1e-14)
-        assert square.entries[1, 1] == pytest.approx(A12_SQ, rel=1e-14)
-        assert square.entries[0, 1] == 0.0 and square.entries[1, 0] == 0.0
+        assert square[0, 0] == pytest.approx(A12_SQ, rel=1e-14)
+        assert square[1, 1] == pytest.approx(A12_SQ, rel=1e-14)
+        assert square[0, 1] == 0.0 and square[1, 0] == 0.0
 
     def test_symmetric_and_positive_semidefinite(self):
-        square = squared_momentum(51).entries
+        square = squared_momentum(51)
         assert np.array_equal(square, square.T)
         values = np.linalg.eigvalsh(square)
         assert values[0] >= -1e-9 * values[-1]
 
+    def test_squares_are_read_only(self):
+        for square in (squared_momentum(6), truncate_after_squaring(6, 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                square[0, 0] = 1.0
+
     def test_matches_direct_matrix_product(self):
         a = momentum_array(40)
         direct = -(a @ a)
-        assert np.allclose(squared_momentum(40).entries, direct, rtol=1e-12, atol=1e-12)
+        assert np.allclose(squared_momentum(40), direct, rtol=1e-12, atol=1e-12)
 
 
 def parity_blocks(entries):
@@ -127,24 +138,24 @@ def parity_blocks(entries):
 class TestParityStructure:
     def test_reordered_square_is_block_diagonal_exactly(self):
         odd_first = np.r_[0:12:2, 1:12:2]
-        reordered = squared_momentum(12).entries[np.ix_(odd_first, odd_first)]
+        reordered = squared_momentum(12)[np.ix_(odd_first, odd_first)]
         assert np.array_equal(reordered[:6, 6:], np.zeros((6, 6)))
         assert np.array_equal(reordered[6:, :6], np.zeros((6, 6)))
 
     def test_reordering_preserves_spectrum(self):
-        square = squared_momentum(12).entries
+        square = squared_momentum(12)
         odd_first = np.r_[0:12:2, 1:12:2]
         before = eigen_symmetric(square).eigenvalues
         after = eigen_symmetric(square[np.ix_(odd_first, odd_first)]).eigenvalues
         assert np.allclose(before, after, rtol=1e-10)
 
     def test_block_sizes(self):
-        odd, even = parity_blocks(squared_momentum(9).entries)
+        odd, even = parity_blocks(squared_momentum(9))
         assert odd.shape == (5, 5)
         assert even.shape == (4, 4)
 
     def test_union_of_block_spectra_is_full_spectrum(self):
-        square = squared_momentum(12).entries
+        square = squared_momentum(12)
         odd, even = parity_blocks(square)
         merged = np.sort(
             np.concatenate([np.linalg.eigvalsh(odd), np.linalg.eigvalsh(even)])
@@ -153,7 +164,7 @@ class TestParityStructure:
         assert np.allclose(merged, full, rtol=1e-8, atol=1e-12)
 
     def test_even_order_blocks_share_eigenvalues(self):
-        odd, even = parity_blocks(squared_momentum(12).entries)
+        odd, even = parity_blocks(squared_momentum(12))
         assert np.allclose(
             np.linalg.eigvalsh(odd), np.linalg.eigvalsh(even), rtol=1e-8, atol=1e-12
         )
@@ -285,12 +296,23 @@ class TestNearInteger:
         assert [r.magnitude for r in records] == pytest.approx([1e-5, 1.0], rel=1e-12)
 
 
+def factors(order, squares):
+    """c_k from sigma_k = r_k (1 - c_k / N) for the lowest squares sigma_k^2."""
+    references = np.arange(len(squares)) * 2 + (1 if order % 2 == 0 else 2)
+    return order * (1 - np.sqrt(squares) / references)
+
+
 @functools.cache
 def scale_factors(order):
-    """c_k from sigma_k = r_k (1 - c_k / N) for the 20 lowest sigma_k."""
+    """c_k for the 20 lowest sigma_k, from the factored block."""
     squares = spectra._factor_block((order + 1) // 2, order // 2).squares[:20]
-    references = np.arange(20) * 2 + (1 if order % 2 == 0 else 2)
-    return order * (1 - np.sqrt(squares) / references)
+    return factors(order, squares)
+
+
+def fitted_law(order):
+    """c(N) = (2/pi^2)(ln N + kappa) - 0.564 ln N / N, as near_integer_check states."""
+    log = math.log(order)
+    return 2 / math.pi**2 * (log + 1.3497) - 0.564 * log / order
 
 
 class TestScaleLaw:
@@ -302,6 +324,18 @@ class TestScaleLaw:
     @pytest.mark.parametrize("order", [999, 1000, 2000])
     def test_one_factor_for_the_twenty_lowest(self, order):
         assert np.ptp(scale_factors(order)) <= 1e-3
+
+    @pytest.mark.parametrize("order", [999, 1000, 2000])
+    def test_fitted_law_gives_the_factor(self, order):
+        c = np.mean(scale_factors(order)[:10])
+        assert c == pytest.approx(fitted_law(order), abs=5e-4)
+
+    def test_fitted_law_at_6000_through_the_oracle(self):
+        # No block of W is factored: the ten lowest come from its inverse.
+        found = factors(6000, lowest_squares(6000, 10))
+        assert np.mean(found) == pytest.approx(2.035576, abs=1e-6)
+        assert np.mean(found) == pytest.approx(fitted_law(6000), abs=1e-5)
+        assert np.ptp(found) <= 1e-5
 
     def test_law_gives_table2s_rank_one_cell(self):
         c = np.mean(scale_factors(1000)[:10])
@@ -322,6 +356,18 @@ class TestClosedFormInverse:
         largest = np.linalg.svd(w_inverse(order // 2), compute_uv=False)[:10]
         assert np.abs(lowest * largest**2 - 1.0).max() <= 3e-14
 
+    def test_subspace_iteration_finds_the_largest_of_the_inverse(self):
+        largest = np.linalg.svd(w_inverse(500), compute_uv=False)[:10]
+        assert np.abs(lowest_squares(1000, 10) * largest**2 - 1.0).max() <= 3e-14
+
+    def test_subspace_iteration_gates_the_ten_lowest_at_4000(self):
+        lowest = singular_spectra([(4000, 0)])[0][:20:2]
+        assert np.abs(lowest / lowest_squares(4000, 10) - 1.0).max() <= 1e-14
+
+    def test_subspace_iteration_takes_even_orders_only(self):
+        with pytest.raises(ValueError, match="even order"):
+            lowest_squares(999, 10)
+
 
 def ten_lowest_errors(build_order, deleted_tails):
     """Worst relative error of the ten lowest eigenvalues against 1, 4, ..., 100.
@@ -338,26 +384,24 @@ def ten_lowest_errors(build_order, deleted_tails):
 
 class TestRepair:
     def test_zero_deletion_is_identity(self):
-        assert np.array_equal(
-            truncate_after_squaring(10, 0).entries, squared_momentum(10).entries
-        )
+        assert np.array_equal(truncate_after_squaring(10, 0), squared_momentum(10))
 
     def test_deletion_slices_trailing_labels(self):
         repaired = truncate_after_squaring(10, 3)
-        assert repaired.order == 7
-        assert np.array_equal(repaired.entries, squared_momentum(10).entries[:7, :7])
+        assert len(repaired) == 7
+        assert np.array_equal(repaired, squared_momentum(10)[:7, :7])
 
     def test_block_identity_at_small_order(self):
         for order in (2, 4, 10, 16, 64):
-            repaired = truncate_after_squaring(order, 1).entries
+            repaired = truncate_after_squaring(order, 1)
             odd = np.arange(0, order - 1, 2)
             even = np.arange(1, order - 1, 2)
             full, smaller = squared_momentum(order), squared_momentum(order - 1)
             assert np.array_equal(
-                repaired[np.ix_(odd, odd)], full.entries[np.ix_(odd, odd)]
+                repaired[np.ix_(odd, odd)], full[np.ix_(odd, odd)]
             ), order
             assert np.array_equal(
-                repaired[np.ix_(even, even)], smaller.entries[np.ix_(even, even)]
+                repaired[np.ix_(even, even)], smaller[np.ix_(even, even)]
             ), order
 
     def test_validates_deletion_count(self):
@@ -528,6 +572,31 @@ class TestSingularSpectrum:
         [at_eigh] = traced
         arrays = (at_eigh - start) / (8 * max(block) ** 2)
         assert arrays < 1.5, arrays
+
+    @pytest.mark.parametrize("block", [(300, 300), (301, 300)])
+    def test_rest_of_the_factorization_holds_four_block_arrays(
+        self, block, monkeypatch
+    ):
+        # After eigh: B, T, X and M while R is formed a slab at a time, then B,
+        # T, X and the residual; the peak is traced from eigh's return on.
+        eigh = np.linalg.eigh
+
+        def resetting_eigh(*args, **kwargs):
+            try:
+                return eigh(*args, **kwargs)
+            finally:
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(np.linalg, "eigh", resetting_eigh)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            spectra._factor_block(*block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (peak - start) / (8 * max(block) ** 2)
+        assert arrays <= 4.5, arrays
 
     @pytest.mark.parametrize("order", [20, 41])
     def test_secular_brackets_hold_the_exact_roots(self, order):
