@@ -17,10 +17,9 @@ declares; ``format`` and ``out`` only shape the output.
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
 accepts under a fixed memory limit), decided before any computation; 1
-runtime failure (an unwritable output path, refused before any computation
-if its directory is missing or not writable, a failed eigensolve residual
-check, or any other error the library raises), reported as one
-``momtrunc: error:`` line.
+runtime failure (an output path that cannot be written, refused before any
+computation, a failed eigensolve residual check, or any other error the
+library raises), reported as one ``momtrunc: error:`` line.
 """
 
 from __future__ import annotations
@@ -29,16 +28,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import products, spectra, tails
 from .operator import p2_exact_entry, p3_hermitian_entry
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
@@ -186,10 +184,16 @@ def _check_memory(command: str, cfg: dict[str, Any]) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an output path whose directory is missing or not writable."""
-    directory = os.path.dirname(out or "") or "."
-    if out and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise OSError(f"cannot write {out}: {directory} is not a writable directory")
+    """Refuse an output path that ``open`` could not create or truncate."""
+    if out is None:
+        return
+    if os.path.exists(out):
+        ok = not os.path.isdir(out) and os.access(out, os.W_OK)
+    else:
+        directory = os.path.dirname(out) or "."
+        ok = bool(out) and os.path.isdir(directory) and os.access(directory, os.W_OK)
+    if not ok:
+        raise OSError(f"cannot write {out!r}: it is not a writable file path")
 
 
 # --- report builders -------------------------------------------------------
@@ -336,8 +340,7 @@ def _run_spectrum_pairs(sizes: list[int]) -> Report:
     return columns, rows
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """One subcommand: its help, report builder, defaults and largest size.
 
     ``defaults`` maps each key the command reads and requires, besides

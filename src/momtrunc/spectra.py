@@ -26,7 +26,6 @@ determinant formula, so :func:`spectrum_pairing` computes nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "PairingReport",
     "NearInteger",
     "eigen_symmetric",
-    "singular_spectrum",
     "singular_spectra",
     "squared_momentum",
     "spectrum_pairing",
@@ -60,16 +58,14 @@ _GROUPING_TOL = 1e-6
 _BLOCK_ARRAYS = 12
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Eigenvalues of a symmetric matrix with degeneracy bookkeeping."""
 
     eigenvalues: np.ndarray
     degeneracy_groups: tuple[tuple[float, int], ...]
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     """Opposite-pair structure of the truncated matrix's eigenvalues.
 
     ``pair_count`` opposite pairs +/-sigma and ``zero_modes`` zero
@@ -87,8 +83,7 @@ class PairingReport:
         return 2 * self.pair_count + self.zero_modes == self.order
 
 
-@dataclass(frozen=True)
-class NearInteger:
+class NearInteger(NamedTuple):
     """A positive eigenvalue magnitude and its nearest reference integer."""
 
     magnitude: float
@@ -455,11 +450,6 @@ def singular_spectra(requests: list[tuple[int, int]]) -> list[np.ndarray]:
     return spectra
 
 
-def singular_spectrum(order: int, deleted_tail: int = 0) -> np.ndarray:
-    """``singular_spectra([(order, deleted_tail)])[0]``: one request's spectrum."""
-    return singular_spectra([(order, deleted_tail)])[0]
-
-
 def largest_order(budget: int) -> int:
     """Largest order whose block factorization fits ``budget`` bytes.
 
@@ -528,13 +518,14 @@ def near_integer_check(size: int) -> list[NearInteger]:
     the spread over k <= 20 is below 1e-3.  So the error r_k c(N)/N is about
     1.67e-3 r at order 1000 (1.67e-3 at r = 1, 1.17e-2 at r = 7).
     Returns one record per opposite pair +/-sigma, that is per singular
-    value sigma of W(ceil(N/2), floor(N/2)), each the square root of a
-    Rayleigh quotient (:func:`_factor_block`): floor(N/2) records, ascending.
+    value sigma of W(ceil(N/2), floor(N/2)): the square roots of every other
+    value of the complete square's spectrum (:func:`singular_spectra`), past
+    its zero mode at odd N, so floor(N/2) records, ascending.
     """
     size = _check_index(size, "size")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    magnitudes = np.sqrt(_factor_block((size + 1) // 2, size // 2).squares).tolist()
+    magnitudes = np.sqrt(singular_spectra([(size, 0)])[0][size % 2 :: 2]).tolist()
     references = [_nearest_with_parity(x, size % 2 == 0) for x in magnitudes]
     return [NearInteger(x, r, abs(x - r)) for x, r in zip(magnitudes, references)]
 

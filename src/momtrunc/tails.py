@@ -9,7 +9,7 @@ triple product converge at all, and the functions here let it be measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +121,7 @@ def telescoping_closed_form(k_max: int) -> float:
     return -0.5 - 0.5 / (2.0 * k_max + 1.0)
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(NamedTuple):
     """Boundary contribution with its two approximants, taken to ``k_max``."""
 
     k_max: int

@@ -110,39 +110,66 @@ def w_inverse(q: int) -> np.ndarray:
 
 
 def lowest_squares(order: int, count: int) -> np.ndarray:
-    """The ``count`` lowest squared singular values of W(N/2, N/2), ascending.
+    """The ``count`` lowest squared singular values of W(ceil(N/2), floor(N/2)).
 
-    For even N = ``order`` only; odd orders, whose block W(q + 1, q) is not
-    square, are not covered.  The largest singular values of W^-1
-    (:func:`w_inverse`) are the reciprocals of the lowest of W, so block
-    subspace iteration on W^-T W^-1 finds them with no eigensolve of W:
-    ``_BLOCK`` vectors V, W^-1 applied ``_SLAB`` rows at a time in O(N)
-    memory, and the values from an SVD of W^-1 V.  The lowest sigma of W lie
-    near the odd integers, so with ``count`` 10 the slowest value converges
-    by (19/49)^4, about 1/40, per step.  Iteration stops one step after no
-    value moved by more than 1e-13 relative: 11 steps for N = 60 to 6000.
+    For N = ``order`` = 2q the block W(q, q) is square, and the largest
+    singular values of W^-1 (:func:`w_inverse`) are the reciprocals of its
+    lowest.  For N = 2q + 1 the block W(q + 1, q) is F = W(q + 1, q + 1)
+    less its last column.  Its Gram is the leading block of F^T F, so the
+    Gram's inverse is the Schur complement Z Z^T - Z e e^T Z^T = (Z P)(Z P)^T,
+    for Z the first q rows of F^-1, e its last row normalized and
+    P = I - e e^T: the largest singular values of Z P are the reciprocals
+    of the lowest of W(q + 1, q).  (At even N, Z = F^-1 and P = I.)
+
+    Block subspace iteration finds them with no eigensolve of W: ``_BLOCK``
+    vectors V, kept orthogonal to e, Z applied ``_SLAB`` rows at a time in
+    O(N) memory.  The lowest sigma of W lie near the integers of parity
+    opposite to N, so with ``count`` 10 the slowest value converges by about
+    (20/50)^4, 1/40, per step.  Iteration stops one step after no singular
+    value of Z V moved by more than 1e-13 relative: 11 steps at even and 12
+    at odd N from 60 to 6000.  The values are then the Rayleigh quotients of the Ritz vectors,
+    taken in ``np.longdouble``: the float64 SVD of Z V is off by up to
+    eps ||Z P|| / sigma_k, which left 6e-15 at N = 1999, and x86-64's
+    64-bit significand leaves about 4e-16.
     """
-    q = order // 2
+    q, n = order // 2, (order + 1) // 2
     block = min(_BLOCK, q)
-    if order % 2 or not 0 < count <= block:
-        raise ValueError(f"need an even order and 0 < count <= min({_BLOCK}, N / 2)")
-    x, y, g, h = _inverse_factors(q)
-    basis = np.linalg.qr(np.random.default_rng(0).standard_normal((q, block)))[0]
+    if not 0 < count <= block:
+        raise ValueError(f"need 0 < count <= min({_BLOCK}, floor(N / 2))")
+    x, y, g, h = _inverse_factors(n)
+
+    def z_slabs(dtype):  # Z, _SLAB rows at a time
+        for first in range(0, q, _SLAB):
+            rows = slice(first, min(first + _SLAB, q))
+            yield rows, g[rows, None].astype(dtype) * h / (x - y[rows, None])
+
+    # e, none at even N, in long double: P's rounding would move sigma_k too.
+    wide_e = g[q:, None].astype(np.longdouble) * h / (x - y[q:, None])
+    wide_e /= np.sqrt((wide_e * wide_e).sum(axis=1, keepdims=True))
+    e = wide_e.astype(float)
+    start = np.random.default_rng(0).standard_normal((n, block))
+    basis = np.linalg.qr(start - e.T @ (e @ start))[0]
     image, previous, settled = np.empty((q, block)), np.zeros(count), False
     for _ in range(100):
-        back = np.zeros((q, block))
-        for start in range(0, q, _SLAB):
-            rows = slice(start, start + _SLAB)
-            slab = g[rows, None] * h / (x - y[rows, None])
+        back = np.zeros((n, block))
+        for rows, slab in z_slabs(float):
             image[rows] = slab @ basis
             back += slab.T @ image[rows]
-        sigma = np.linalg.svd(image, compute_uv=False)[:count]
+        _, sigma, turn = np.linalg.svd(image, full_matrices=False)
+        sigma = sigma[:count]
         if settled:
-            return 1.0 / sigma**2
+            break
         settled = bool(np.all(np.abs(sigma - previous) <= 1e-13 * sigma))
         previous = sigma
-        basis = np.linalg.qr(back)[0]
-    raise ArithmeticError(f"lowest_squares({order}, {count}) did not converge")
+        basis = np.linalg.qr(back - e.T @ (e @ back))[0]
+    else:
+        raise ArithmeticError(f"lowest_squares({order}, {count}) did not converge")
+    ritz = (basis @ turn[:count].T).astype(np.longdouble)
+    ritz -= wide_e.T @ (wide_e @ ritz)
+    images = np.zeros(count, dtype=np.longdouble)
+    for _, slab in z_slabs(np.longdouble):
+        images += ((slab @ ritz) ** 2).sum(axis=0)
+    return ((ritz * ritz).sum(axis=0) / images).astype(float)
 
 
 def _close(x: float, y: float, tol: float) -> bool:

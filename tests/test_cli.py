@@ -324,6 +324,20 @@ class TestConfigAndErrors:
         assert err.startswith("momtrunc: error: cannot write") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["", "."], ids=["empty", "directory"])
+    def test_path_naming_no_file_is_refused_before_computing(
+        self, target, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(p, q):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr(spectra, "_factor_block", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["table2", "--sizes", "4000", "--out", target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("momtrunc: error: cannot write") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_default(self, capsys):
         assert run_cli(["assoc", "--pairs", "1,2"]) == 0
         captured = capsys.readouterr()

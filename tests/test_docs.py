@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 import momtrunc
+from momtrunc import cli
 from momtrunc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,8 +32,9 @@ def test_cli_example_prints_as_shown(capsys):
 
 
 def test_every_public_function_has_a_caller():
-    # Named in another src/momtrunc module, the acceptance suite, the
-    # benchmark or README's Library block; classes and __version__ are exempt.
+    # Each name in momtrunc.__all__ or momtrunc.cli.__all__ is named in another
+    # src/momtrunc module, the acceptance suite, the benchmark or README's
+    # Library block; classes and __version__ are exempt.
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     elsewhere = [
         library.split("\n## ", 1)[0],
@@ -44,9 +46,11 @@ def test_every_public_function_has_a_caller():
         ),
     ]
     modules = sorted((ROOT / "src" / "momtrunc").glob("*.py"))
+    public = [(momtrunc, name) for name in momtrunc.__all__]
+    public += [(cli, name) for name in cli.__all__]
     caller_less = []
-    for name in momtrunc.__all__:
-        function = getattr(momtrunc, name)
+    for module, name in public:
+        function = getattr(module, name)
         if not inspect.isfunction(function):
             continue
         own = Path(inspect.getfile(function)).resolve()

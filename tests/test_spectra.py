@@ -16,7 +16,6 @@ from momtrunc.spectra import (
     eigen_symmetric,
     near_integer_check,
     singular_spectra,
-    singular_spectrum,
     spectrum_pairing,
     squared_momentum,
     truncate_after_squaring,
@@ -304,9 +303,8 @@ def factors(order, squares):
 
 @functools.cache
 def scale_factors(order):
-    """c_k for the 20 lowest sigma_k, from the factored block."""
-    squares = spectra._factor_block((order + 1) // 2, order // 2).squares[:20]
-    return factors(order, squares)
+    """c_k for the 20 lowest sigma_k, from the closed-form inverse of W."""
+    return factors(order, lowest_squares(order, 20))
 
 
 def fitted_law(order):
@@ -364,9 +362,35 @@ class TestClosedFormInverse:
         lowest = singular_spectra([(4000, 0)])[0][:20:2]
         assert np.abs(lowest / lowest_squares(4000, 10) - 1.0).max() <= 1e-14
 
-    def test_subspace_iteration_takes_even_orders_only(self):
-        with pytest.raises(ValueError, match="even order"):
-            lowest_squares(999, 10)
+    @pytest.mark.parametrize("order", [999, 1999])
+    def test_subspace_iteration_gates_the_ten_lowest_at_odd_orders(self, order):
+        # Every other value past the zero mode: each sigma^2 of W(q + 1, q).
+        lowest = singular_spectra([(order, 0)])[0][1:21:2]
+        assert np.abs(lowest / lowest_squares(order, 10) - 1.0).max() <= 1e-14
+
+    def test_subspace_iteration_at_an_odd_order_against_forty_digits(self):
+        expected = np.array(forty_digit_squares(31, 30)[:10])
+        assert np.abs(lowest_squares(61, 10) / expected - 1.0).max() <= 2e-15
+
+    @pytest.mark.parametrize("q", [30, 60])
+    def test_schur_complement_inverts_the_odd_gram_at_forty_digits(self, q):
+        # (W^T W)^-1 of W(q + 1, q) is (Z P)(Z P)^T, with Z, e from W(q + 1, q + 1)^-1.
+        with mpmath.workdps(40):
+            w = mpmath.matrix(q + 1, q)
+            for i in range(q + 1):
+                for j in range(q):
+                    m, n = 2 * i + 1, 2 * j + 2
+                    w[i, j] = -4 * m * n / (mpmath.pi * (m * m - n * n))
+            exact = np.array(((w.T * w) ** -1).tolist(), dtype=float)
+        inverse = w_inverse(q + 1)
+        e = inverse[q] / np.linalg.norm(inverse[q])
+        zp = inverse[:q] - np.outer(inverse[:q] @ e, e)
+        assert np.abs(zp @ zp.T - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_subspace_iteration_refuses_a_count_beyond_its_block(self):
+        for count in (0, 25):
+            with pytest.raises(ValueError, match="count"):
+                lowest_squares(999, count)
 
 
 def ten_lowest_errors(build_order, deleted_tails):
@@ -462,7 +486,7 @@ class TestSingularSpectrum:
 
     @staticmethod
     def assert_matches_dense(order, deleted_tail):
-        fast = singular_spectrum(order, deleted_tail)
+        fast = singular_spectra([(order, deleted_tail)])[0]
         dense = eigen_symmetric(truncate_after_squaring(order, deleted_tail)).eigenvalues
         assert fast.shape == dense.shape
         norm = float(np.abs(dense).max())
@@ -488,7 +512,7 @@ class TestSingularSpectrum:
             for value in forty_digit_squares(p, q)
         ]
         expected = np.array(sorted([0.0] * (keep - len(squares)) + squares))
-        fast = singular_spectrum(order, deleted_tail)
+        fast = singular_spectra([(order, deleted_tail)])[0]
         assert np.array_equal(fast == 0.0, expected == 0.0), deleted_tail
         nonzero = expected != 0.0
         return (np.abs(fast[nonzero] - expected[nonzero]) / expected[nonzero]).max()
@@ -630,30 +654,31 @@ class TestSingularSpectrum:
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
-            singular_spectrum(0)
+            singular_spectra([(0, 0)])
         with pytest.raises(ValueError):
-            singular_spectrum(10, 10)
+            singular_spectra([(10, 10)])
         with pytest.raises(ValueError):
-            singular_spectrum(10, -1)
+            singular_spectra([(10, -1)])
 
     def test_no_state_is_kept_between_calls(self, monkeypatch):
-        singular_spectrum(12)
+        singular_spectra([(12, 0)])
         monkeypatch.setattr(spectra, "_w_block", lambda p, q: 2.0 * _w_block(p, q))
-        scaled = singular_spectrum(12)
+        scaled = singular_spectra([(12, 0)])[0]
         monkeypatch.undo()
-        assert np.allclose(scaled, 4.0 * singular_spectrum(12), rtol=1e-14, atol=0.0)
+        unscaled = singular_spectra([(12, 0)])[0]
+        assert np.allclose(scaled, 4.0 * unscaled, rtol=1e-14, atol=0.0)
 
     def test_rejects_boolean_deletion(self):
         with pytest.raises(ValueError):
-            singular_spectrum(10, True)
+            singular_spectra([(10, True)])
         with pytest.raises(ValueError):
             truncate_after_squaring(10, True)
 
     def test_residual_is_checked_on_cached_blocks(self, monkeypatch):
-        singular_spectrum(12)  # a block factored before is factored again
+        singular_spectra([(12, 0)])  # a block factored before is factored again
         monkeypatch.setattr(spectra, "_RESIDUAL_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="eigensolve residual"):
-            singular_spectrum(12)
+            singular_spectra([(12, 0)])
 
     @settings(deadline=None)
     @given(st.integers(1, 60))
