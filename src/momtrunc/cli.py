@@ -8,11 +8,11 @@ keys the command reads, which ``--config`` accepts back), column names and
 full-precision rows.
 
 A command reads the flags it lists, and a ``--config`` JSON file may set
-the same keys, ``pairs`` and ``sizes`` as the flag's string or as JSON
-lists.  Each source is checked on its own, and flags win; a config
-``null`` means stdout for ``out`` and is refused for every other key.  A
-command's report builder receives exactly the keys its registry record
-declares; ``format`` and ``out`` only shape the output.
+the same keys, as flag text or JSON values.  One reader per key checks the
+registry's defaults (flag text), the config file and the flags in turn;
+later ones win, and a config ``null`` means stdout for ``out``.  A report
+builder receives exactly its record's keys and first passes every
+(m, n, size) cell through the library's own check.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
@@ -116,6 +116,7 @@ def _read_sizes(value: Any) -> list[int]:
 
 
 def _read_delete_tail(value: Any) -> int:
+    value = _number(value) if isinstance(value, str) else value
     if _is_count(value, 0):
         return value
     raise UsageError(f"delete_tail must be a nonnegative integer, got {value!r}")
@@ -133,17 +134,13 @@ def _read_out(value: Any) -> str | None:
     raise UsageError(f"out must be a path string or null, got {value!r}")
 
 
-# Per key: the reader that checks and types a flag's or a config file's
-# value, and the flag's argparse keywords.
-_KEYS: dict[str, tuple[Callable[[Any], Any], dict[str, Any]]] = {
-    "pairs": (_read_pairs, {"help": "pairs as 'm,n;m,n' (1-based labels)"}),
-    "sizes": (_read_sizes, {"help": "truncation sizes as 'N1,N2,...' (ascending)"}),
-    "delete_tail": (
-        _read_delete_tail,
-        {"type": int, "help": "rows/columns to delete from the largest squared matrix"},
-    ),
-    "format": (_read_format, {"choices": ["csv", "json"], "help": "output format"}),
-    "out": (_read_out, {"help": "output path (default: stdout)"}),
+# Per key: the one reader of its every value, and the flag's help.
+_KEYS: dict[str, tuple[Callable[[Any], Any], str]] = {
+    "pairs": (_read_pairs, "pairs as 'm,n;m,n' (1-based labels)"),
+    "sizes": (_read_sizes, "truncation sizes as 'N1,N2,...' (ascending)"),
+    "delete_tail": (_read_delete_tail, "rows/columns deleted from the largest square"),
+    "format": (_read_format, "output format: csv or json"),
+    "out": (_read_out, "output path (default: stdout)"),
 }
 # The keys every command reads after its own, with their defaults.
 _OUTPUT_DEFAULTS = {"format": "csv", "out": None}
@@ -160,13 +157,9 @@ def _assemble_config(args: argparse.Namespace) -> dict[str, Any]:
     # argparse gives None for an absent flag.
     flags = {k: v for k in experiment.keys if (v := getattr(args, k)) is not None}
 
-    # Each source's values are checked as it gives them; flags win.  Tuple
-    # defaults are copied to fresh lists.
-    cfg = {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in {**experiment.defaults, **_OUTPUT_DEFAULTS}.items()
-    }
-    for given in (file_cfg, flags):
+    # Each source's values are checked as it gives them; later sources win.
+    cfg: dict[str, Any] = {}
+    for given in (experiment.defaults, _OUTPUT_DEFAULTS, file_cfg, flags):
         cfg.update({key: _KEYS[key][0](value) for key, value in given.items()})
     return cfg
 
@@ -207,11 +200,14 @@ Pairs = list[tuple[int, int]]
 _LABELS: Columns = [("m", ""), ("n", ""), ("size", "")]
 
 
-def _check_sizes_cover_pairs(pairs: Pairs, sizes: list[int]) -> None:
-    """Refuse a pair with a label above the smallest (first) size."""
+def _check_cells(check: Callable, pairs: Pairs, sizes: list[int]) -> None:
+    """Refuse the first (m, n, size) cell the library's ``check`` rejects."""
     for m, n in pairs:
-        if sizes[0] < max(m, n):
-            raise UsageError(f"size {sizes[0]} is smaller than pair ({m},{n})")
+        for size in sizes:
+            try:
+                check(m, n, size)
+            except ValueError as exc:
+                raise UsageError(f"({m},{n}) at size {size}: {exc}") from None
 
 
 def _against_limit(
@@ -228,7 +224,7 @@ def _against_limit(
 
 
 def _run_table1(pairs: Pairs, sizes: list[int]) -> Report:
-    _check_sizes_cover_pairs(pairs, sizes)
+    _check_cells(products._check_labels, pairs, sizes)
     columns = [("triple_product", ".6g"), ("target", ".6g")]
     return _against_limit(
         pairs, sizes, columns, p3_hermitian_entry, products.triple_product_sum
@@ -280,10 +276,8 @@ def _run_assoc(pairs: Pairs) -> Report:
 
 
 def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
-    for m, n in pairs:
-        if (m + n) % 2 == 1:
-            raise UsageError(f"diverge requires same-parity pairs, got ({m},{n})")
-    _check_sizes_cover_pairs(pairs, sizes)
+    _check_cells(products._check_middle_sum, pairs, sizes)
+    _check_cells(products._check_labels, pairs, sizes)
     rows = []
     for m, n in pairs:
         exact = float(m * m * n * n) if m == n else 0.0
@@ -306,18 +300,13 @@ def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
 
 
 def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
-    grid = [(m, n, size) for m, n in pairs for size in sizes]
-    for m, n, size in grid:
-        if m % 2 == 0 or n % 2 == 1 or size % 2 == 1 or size < 10 * (m + n):
-            raise UsageError(
-                f"tails requires odd m, even n and an even size >= 10 (m + n), "
-                f"got ({m},{n}) at size {size}"
-            )
+    _check_cells(tails._check_boundary, pairs, sizes)
     rows = []
-    for m, n, size in grid:
-        estimate = tails.tail_estimate(m, n, size)
-        stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
-        rows.append([m, n, size, estimate.k_max, *stages])
+    for m, n in pairs:
+        for size in sizes:
+            estimate = tails.tail_estimate(m, n, size)
+            stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
+            rows.append([m, n, size, estimate.k_max, *stages])
     columns = _LABELS + [
         ("k_max", ""), ("exact", ".6e"), ("near_boundary", ".6e"), ("telescoped", ".6e")
     ]
@@ -344,14 +333,14 @@ class Experiment(NamedTuple):
     """One subcommand: its help, report builder, defaults and largest size.
 
     ``defaults`` maps each key the command reads and requires, besides
-    ``format`` and ``out``, to its default; ``run`` takes exactly those
-    keys as keyword arguments, and ``max_size`` is the largest size the
-    command accepts.
+    ``format`` and ``out``, to its default as flag text; ``run`` takes
+    exactly those keys, as their readers type them, as keyword arguments,
+    and ``max_size`` is the largest size the command accepts.
     """
 
     help: str
     run: Callable[..., Report]
-    defaults: dict[str, Any]
+    defaults: dict[str, str]
     max_size: int = _MAX_LABEL
 
     @property
@@ -364,40 +353,38 @@ EXPERIMENTS = {
     "table1": Experiment(
         "triple products against their Hermitian-part targets",
         _run_table1,
-        {"pairs": ((1, 2), (2, 3), (20, 31), (60, 91)),
-         "sizes": (99, 100, 999, 1000, 1999, 2000)},
+        {"pairs": "1,2;2,3;20,31;60,91", "sizes": "99,100,999,1000,1999,2000"},
     ),
     "table2": Experiment(
         "eigenvalues of the squared truncation, complete and repaired",
         _run_table2,
-        {"sizes": (999, 1000), "delete_tail": 1},
+        {"sizes": "999,1000", "delete_tail": "1"},
         max_size=spectra.largest_order(_MAX_DENSE_BYTES),
     ),
     "p2check": Experiment(
         "partial sums of the square's entries against m n delta_mn",
         _run_p2check,
-        {"pairs": ((1, 1), (1, 3), (2, 2), (2, 4), (3, 5)),
-         "sizes": (1000, 10000, 100000)},
+        {"pairs": "1,1;1,3;2,2;2,4;3,5", "sizes": "1000,10000,100000"},
     ),
     "assoc": Experiment(
         "the two unequal one-sided products with the exact square",
         _run_assoc,
-        {"pairs": ((1, 2), (2, 3), (3, 4))},
+        {"pairs": "1,2;2,3;3,4"},
     ),
     "diverge": Experiment(
         "fourth-power and middle-sum divergence probes",
         _run_diverge,
-        {"pairs": ((1, 1), (1, 3)), "sizes": (250, 500, 1000, 2000)},
+        {"pairs": "1,1;1,3", "sizes": "250,500,1000,2000"},
     ),
     "tails": Experiment(
         "boundary-tail contribution and its approximants",
         _run_tails,
-        {"pairs": ((1, 2), (3, 4)), "sizes": (200, 400, 800, 1600)},
+        {"pairs": "1,2;3,4", "sizes": "200,400,800,1600"},
     ),
     "spectrum-pairs": Experiment(
         "opposite-pair structure of the truncation's spectrum",
         _run_spectrum_pairs,
-        {"sizes": (999, 1000)},
+        {"sizes": "999,1000"},
     ),
 }
 
@@ -447,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, experiment in EXPERIMENTS.items():
         cmd = sub.add_parser(name, help=experiment.help, description=experiment.help)
         for key in experiment.keys:
-            cmd.add_argument("--" + key.replace("_", "-"), dest=key, **_KEYS[key][1])
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEYS[key][1])
         cmd.add_argument("--config", help="JSON config file; flags win over its values")
         cmd.set_defaults(command_parser=cmd)
     return parser

@@ -156,6 +156,15 @@ def associativity_gap(m: int, n: int) -> tuple[float, float]:
     return (float(n * n) * entry, float(m * m) * entry)
 
 
+def _check_middle_sum(m: int, n: int, s_max: int) -> tuple[int, int, int]:
+    m = _check_index(m, "m")
+    n = _check_index(n, "n")
+    s_max = _check_index(s_max, "s_max")
+    if (m + n) % 2 == 1:
+        raise ValueError(f"m + n must be even, got m={m}, n={n}")
+    return m, n, s_max
+
+
 def pp2p_partial_sum(m: int, n: int, s_max: int) -> float:
     """Partial sum of the middle-index expansion of P P^2 P.
 
@@ -164,11 +173,7 @@ def pp2p_partial_sum(m: int, n: int, s_max: int) -> float:
     grows, so the partial sums diverge linearly in s_max.  Requires m + n
     even (for odd m + n the expansion has no common middle parity).
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    s_max = _check_index(s_max, "s_max")
-    if (m + n) % 2 == 1:
-        raise ValueError(f"m + n must be even, got m={m}, n={n}")
+    m, n, s_max = _check_middle_sum(m, n, s_max)
     start = 2 if m % 2 == 1 else 1
     s = np.arange(start, s_max + 1, 2, dtype=float)
     if s.size == 0:

@@ -537,9 +537,12 @@ def truncate_after_squaring(build_order: int, deleted_tail: int) -> np.ndarray:
     removed from the squared matrix (labels in the original 1..build_order
     ordering); the result is a read-only view of it.  With one deletion the
     surviving spectrum is nondegenerate and close to the exact squares 1, 4,
-    9, ...: the ten lowest are within a relative 3.34e-3 of them at build
-    order 1000.  More deletions need not narrow that error: it is 3.34e-3
-    again with two and 2.94e-3 with three.
+    9, ...: at build order 1000 the ten lowest, k^2, are within a relative
+    3.337e-3 at odd k and 3.340e-3 at even k.  Odd k come from the odd-label
+    block, even k from the even-label one, and a further deletion shrinks
+    one block only: d = 2 takes W(500, 500) to W(499, 500) (odd k 2.936e-3;
+    W(500, 499) and its 3.340e-3 stay), d = 3 takes W(500, 499) to
+    W(500, 498) (worst 2.939e-3).
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)

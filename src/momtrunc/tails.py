@@ -26,6 +26,21 @@ __all__ = [
 ]
 
 
+def _check_boundary(m: int, n: int, size: int) -> tuple[int, int, int]:
+    m = _check_index(m, "m")
+    n = _check_index(n, "n")
+    size = _check_index(size, "size")
+    if m % 2 == 0:
+        raise ValueError(f"m must be odd, got {m}")
+    if n % 2 == 1:
+        raise ValueError(f"n must be even, got {n}")
+    if size % 2 == 1:
+        raise ValueError(f"size must be even, got {size}")
+    if size < 10 * (m + n):
+        raise ValueError(f"size must be >= 10 * (m + n) = {10 * (m + n)}, got {size}")
+    return m, n, size
+
+
 def boundary_contribution(m: int, n: int, size: int) -> float:
     """Exact boundary contribution to the square-cutoff triple product.
 
@@ -41,17 +56,7 @@ def boundary_contribution(m: int, n: int, size: int) -> float:
     to (log(4 size) + gamma - 1)/4, gamma being Euler's constant.  Requires
     size >= 10 (m + n) so the asymptotic regime applies.
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    size = _check_index(size, "size")
-    if m % 2 == 0:
-        raise ValueError(f"m must be odd, got {m}")
-    if n % 2 == 1:
-        raise ValueError(f"n must be even, got {n}")
-    if size % 2 == 1:
-        raise ValueError(f"size must be even, got {size}")
-    if size < 10 * (m + n):
-        raise ValueError(f"size must be >= 10 * (m + n) = {10 * (m + n)}, got {size}")
+    m, n, size = _check_boundary(m, n, size)
     big = float(size)
     s = np.arange(1.0, big, 2.0)
     first = (

@@ -98,6 +98,24 @@ class TestTable2:
         )
         assert run_cli(["table2", "--sizes", "1", "--delete-tail", "0"]) == 0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--delete-tail", "x", "delete_tail must be a nonnegative integer, got 'x'"),
+            (
+                "--delete-tail",
+                "1.5",
+                "delete_tail must be a nonnegative integer, got '1.5'",
+            ),
+            ("--format", "xml", "format must be 'csv' or 'json', got 'xml'"),
+        ],
+        ids=["delete-tail-x", "delete-tail-1.5", "format-xml"],
+    )
+    def test_bad_flag_values_are_one_usage_line(self, flag, value, message, capsys):
+        # The key's reader refuses the flag's text, as it refuses a config value.
+        assert run_cli(["table2", "--sizes", "9,10", flag, value]) == 2
+        assert capsys.readouterr().err == f"momtrunc: error: {message}\n"
+
 
 class TestOtherCommands:
     def test_p2check_values(self, tmp_path):
@@ -232,6 +250,16 @@ class TestConfigAndErrors:
         assert run_cli(["table1", "--pairs", "1,2", "--sizes", "50,99"]) == 0
         assert capsys.readouterr().out == from_config
 
+    def test_config_file_takes_every_key_as_flag_text(self, tmp_path, capsys):
+        flags = {"sizes": "9,10", "delete_tail": "2", "format": "json"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags), encoding="utf-8")
+        assert run_cli(["table2", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        args = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        assert run_cli(["table2", *args]) == 0
+        assert capsys.readouterr().out == from_config
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pears": 1}), encoding="utf-8")
@@ -360,6 +388,22 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("momtrunc: error: secular equation: no checked bracket")
         assert err.count("\n") == 1
+
+
+class TestHelp:
+    def test_top_level_help(self, capsys):
+        assert run_cli(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.EXPERIMENTS)
+
+    @pytest.mark.parametrize("command", list(cli.EXPERIMENTS))
+    def test_each_command_lists_its_flags(self, command, capsys):
+        # argparse %-formats help texts, so a bad one fails only here.
+        assert run_cli([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        keys = cli.EXPERIMENTS[command].keys
+        for flag in ["--" + key.replace("_", "-") for key in keys] + ["--config"]:
+            assert flag in out, flag
 
 
 class TestDenseSizeGuard:
@@ -505,9 +549,14 @@ def cli_arguments(draw):
         args += ["--pairs", pairs]
     if "sizes" in keys:
         args += ["--sizes", sizes]
+    # Any text but a flag's (argparse takes text that starts with "-" as one).
+    text = st.sampled_from(["x", "1.5", "", "xml"]) | st.text(max_size=4).filter(
+        lambda value: not value.startswith("-")
+    )
     if "delete_tail" in keys and draw(st.booleans()):
-        args += ["--delete-tail", str(draw(ANY_LABEL))]
-    args += ["--format", draw(st.sampled_from(["csv", "json"]))]
+        args += ["--delete-tail", draw(ANY_LABEL.map(str) | text)]
+    formats = st.sampled_from(["csv", "json"])
+    args += ["--format", draw(st.one_of(formats, formats, text))]
     return args
 
 
@@ -596,6 +645,50 @@ class TestExitCodes:
         ]:
             monkeypatch.setattr(module, name, refuse)
         assert run_cli([command, "--pairs", pairs, "--sizes", sizes]) == 2
+
+    @pytest.mark.parametrize(
+        "command, pairs, sizes, message",
+        [
+            ("tails", "1,2;2,2", "40", "(2,2) at size 40: m must be odd, got 2"),
+            ("tails", "1,1", "40", "(1,1) at size 40: n must be even, got 1"),
+            ("tails", "1,2", "40,41", "(1,2) at size 41: size must be even, got 41"),
+            (
+                "tails",
+                "1,4",
+                "40",
+                "(1,4) at size 40: size must be >= 10 * (m + n) = 50, got 40",
+            ),
+            (
+                "table1",
+                "1,2;1,20",
+                "10",
+                "(1,20) at size 10: size must be >= max(m, n) = 20, got 10",
+            ),
+            (
+                "diverge",
+                "1,1;1,2",
+                "30",
+                "(1,2) at size 30: m + n must be even, got m=1, n=2",
+            ),
+            (
+                "diverge",
+                "1,1;1,3",
+                "2,4",
+                "(1,3) at size 2: size must be >= max(m, n) = 3, got 2",
+            ),
+        ],
+        ids=[
+            "m-even", "n-odd", "size-odd", "size-below-10(m+n)",
+            "label-above-size", "mixed-parity", "label-above-first-size",
+        ],
+    )
+    def test_library_refusals_name_the_cell(
+        self, command, pairs, sizes, message, capsys
+    ):
+        # The message after the cell is the library's own, raised by the
+        # check its function runs.
+        assert run_cli([command, "--pairs", pairs, "--sizes", sizes]) == 2
+        assert capsys.readouterr().err == f"momtrunc: error: {message}\n"
 
     def test_pair_labels_above_the_largest_size_are_usage_errors(self, tmp_path, capsys):
         # Such labels would reach float conversion, which raises for 10^160.

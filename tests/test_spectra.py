@@ -362,7 +362,7 @@ class TestClosedFormInverse:
         lowest = singular_spectra([(4000, 0)])[0][:20:2]
         assert np.abs(lowest / lowest_squares(4000, 10) - 1.0).max() <= 1e-14
 
-    @pytest.mark.parametrize("order", [999, 1999])
+    @pytest.mark.parametrize("order", [999, 1999, 3999])
     def test_subspace_iteration_gates_the_ten_lowest_at_odd_orders(self, order):
         # Every other value past the zero mode: each sigma^2 of W(q + 1, q).
         lowest = singular_spectra([(order, 0)])[0][1:21:2]
@@ -437,6 +437,27 @@ class TestRepair:
     def test_error_metric_non_increasing_in_deletions(self):
         errors = ten_lowest_errors(200, [1, 10, 50])
         assert errors[0] >= errors[1] >= errors[2]
+
+    def test_each_deletion_moves_only_the_block_that_loses_a_label(self):
+        # Odd k come from the odd-label block, even k from the even-label one.
+        found = singular_spectra([(1000, 1), (1000, 2), (1000, 3)])
+        one, two, three = (values[:10] for values in found)
+        # d = 2 takes W(500, 500) to W(499, 500); W(500, 499) stays.
+        assert np.array_equal(one[1::2], two[1::2])
+        assert not np.array_equal(one[::2], two[::2])
+        # d = 3 takes W(500, 499) to W(500, 498); W(499, 500) stays.
+        assert np.array_equal(two[::2], three[::2])
+        assert not np.array_equal(two[1::2], three[1::2])
+        exact = np.arange(1.0, 11.0) ** 2
+        worst = [
+            [f"{np.max(np.abs(v - exact)[k::2] / exact[k::2]):.3e}" for k in (0, 1)]
+            for v in (one, two, three)
+        ]
+        assert worst == [
+            ["3.337e-03", "3.340e-03"],
+            ["2.936e-03", "3.340e-03"],
+            ["2.936e-03", "2.939e-03"],
+        ]
 
     def test_unrepaired_spectrum_is_flagged_by_large_error(self):
         [err0] = ten_lowest_errors(200, [0])
