@@ -53,7 +53,7 @@ _GROUPING_TOL = 1e-6
 # arrays' worth) and the eigenvectors, W being let go until eigh returns,
 # and four after it (measured for table2 with delete-tail 3: 5.6 at N = 2000
 # and 5.3 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a
-# margin).  Blocks derived from it add only _CHUNK x ceil(N/2) work arrays.
+# margin).  Blocks derived from it add only _ROWS x ceil(N/2) work arrays.
 # largest_order turns a byte budget into the largest order this count admits.
 _BLOCK_ARRAYS = 12
 
@@ -100,26 +100,23 @@ def _as_array(matrix: np.typing.ArrayLike) -> np.ndarray:
     return arr
 
 
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(abs(x), abs(y))
-
-
 def _degeneracy_groups(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
-    groups: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or not _close(float(values[i]), float(values[i - 1]), tol):
-            block = values[start:i]
-            groups.append((float(block.mean()), len(block)))
-            start = i
-    return tuple(groups)
+    # Split where adjacent values are not close, so that a NaN splits too.
+    close = np.abs(np.diff(values)) <= tol * np.maximum(
+        np.abs(values[1:]), np.abs(values[:-1])
+    )
+    blocks = np.split(values, np.flatnonzero(~close) + 1)
+    return tuple((float(block.mean()), len(block)) for block in blocks)
 
 
-def _check_residual(worst: float, norm: float) -> None:
-    """Raise ArithmeticError unless the worst eigen-residual is within tolerance.
+def _check_residual(residual: np.ndarray, norm: float) -> None:
+    """Raise ArithmeticError unless every column of ``residual`` is within tolerance.
 
-    Fails closed: a NaN residual or ||M|| is not within it.
+    A column is one eigenpair's residual; its norm must be at most the
+    tolerance times ``norm`` (||M||).  Fails closed: a NaN residual or ||M||
+    is not within it.
     """
+    worst = float(np.sqrt(np.einsum("ij,ij->j", residual, residual).max()))
     if not worst <= _RESIDUAL_TOL * norm:
         raise ArithmeticError(
             f"eigensolve residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}"
@@ -145,8 +142,7 @@ def eigen_symmetric(matrix: np.typing.ArrayLike) -> SpectrumReport:
     if not asymmetry <= _SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: asymmetry {asymmetry * unit:.3e}")
     values, vectors = np.linalg.eigh(mat)
-    residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
-    _check_residual(float(residuals.max()), float(np.abs(values).max()))
+    _check_residual(mat @ vectors - vectors * values, float(np.abs(values).max()))
     with np.errstate(over="ignore"):  # refused below
         values *= unit
     if not np.isfinite(values).all():
@@ -154,15 +150,17 @@ def eigen_symmetric(matrix: np.typing.ArrayLike) -> SpectrumReport:
     return SpectrumReport(values, _degeneracy_groups(values, _GROUPING_TOL))
 
 
-# Roots of a secular equation solved together, bounding the (roots x poles)
-# work arrays; and the cap on model steps per root (4 to 6 are typical).
-_CHUNK = 256
+# Rows of every (rows x ceil(N/2)) work array: rows of R = M / (lambda_i -
+# lambda_j) formed at a time, so that no gap matrix is built, and roots of a
+# secular equation solved together.  A root's last bit depends on it only
+# through BLAS's matrix-vector kernel, which takes rows in small groups (four
+# with OpenBLAS on x86-64): every multiple of the group gives the same bits.
+_ROWS = 64
+# The cap on model steps per secular root (4 to 6 are typical).
 _MAX_STEPS = 40
 # Trailing rows of U and V (W = U diag(sigma) V^T) kept per factored block:
 # derived blocks lie within this many deleted rows or columns of it.
 _TAIL_ROWS = 2
-# Rows of R = M / (lambda_i - lambda_j) formed at a time: no gap matrix is built.
-_SLAB = 64
 _EPS = float(np.finfo(float).eps)
 
 
@@ -197,7 +195,7 @@ def _factor_block(p: int, q: int) -> _Factored:
     of [[0, W], [W^T, 0]], whose other side ||T b - sigma u|| is zero here.
 
     T is not held while ``eigh`` runs, which reads only the Gram; it is built
-    again afterwards, bit for bit.  Then R is formed ``_SLAB`` rows at a time
+    again afterwards, bit for bit.  Then R is formed ``_ROWS`` rows at a time
     and X and B are rescaled in place, so at most four block arrays live.
     """
     if min(p, q) == 0:
@@ -210,12 +208,12 @@ def _factor_block(p: int, q: int) -> _Factored:
     m = x.T @ x  # from X, not the Gram: rounding eps ||W|| (sigma_i + sigma_j)
     quotients = m.diagonal().copy()
     squares, sigma = quotients[null:], np.sqrt(quotients[null:])
-    for start in range(0, len(m), _SLAB):  # R, in place
-        gap = quotients[start : start + _SLAB, None] - quotients
+    for start in range(0, len(m), _ROWS):  # R, in place
+        gap = quotients[start : start + _ROWS, None] - quotients
         # The null block's rotation is free, and so is each vector's own.
         gap[: max(null - start, 0), :null] = np.inf
         gap.ravel()[start :: len(m) + 1] = np.inf  # at (i, start + i)
-        m[start : start + _SLAB] /= gap
+        m[start : start + _ROWS] /= gap
         del gap  # before the next slab's is built
     tails = (basis[-_TAIL_ROWS:], x[-_TAIL_ROWS:])
     long_tail, short_tail = (tail - tail @ m for tail in tails)
@@ -226,8 +224,7 @@ def _factor_block(p: int, q: int) -> _Factored:
     basis[:, null:] *= sigma
     back = t.T @ x[:, null:]
     back -= basis[:, null:]
-    worst = float(np.sqrt(np.einsum("ij,ij->j", back, back).max()))
-    _check_residual(worst, max(float(sigma[-1]), 1e-300))
+    _check_residual(back, max(float(sigma[-1]), 1e-300))
     sides = (long_side, short_side) if p <= q else (short_side, long_side)
     return _Factored(squares, *sides)
 
@@ -317,8 +314,8 @@ def _secular_roots(
     # Bound on |computed f - f| over sum_i |weights_i / (poles_i - mu)|: a
     # few roundings per term, then a sum of poles.size terms in any order.
     rounding = (poles.size + 8) * _EPS
-    for start in range(0, count, _CHUNK):
-        k = slice(start, min(start + _CHUNK, count))
+    for start in range(0, count, _ROWS):
+        k = slice(start, min(start + _ROWS, count))
         left, right = poles[k], poles[k.start + 1 : k.stop + 1]
         gap = right - left
         near_left = _reciprocals(poles - left[:, None], gap / 2) @ weights >= 0
@@ -375,7 +372,7 @@ def _secular_roots(
         tau[k], radius[k] = t, width
         if len(tail):  # the eigenvectors at the roots, normalized
             r = _reciprocals(shifted, t) * last
-            rotated[:, k] = tail @ (r / np.linalg.norm(r, axis=1)[:, None]).T
+            rotated[:, k] = tail @ (r / np.sqrt((r * r).sum(1, keepdims=True))).T
     return origin, tau, radius, rotated
 
 

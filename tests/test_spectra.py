@@ -73,7 +73,48 @@ class TestEigenSymmetric:
 
     def test_nan_residual_fails_the_check(self):
         with pytest.raises(ArithmeticError, match="residual nan"):
-            spectra._check_residual(float("nan"), 1.0)
+            spectra._check_residual(np.full((2, 2), np.nan), 1.0)
+
+    def test_infinite_residual_column_fails_the_check(self):
+        residual = np.zeros((3, 2))
+        residual[:, 1] = np.inf
+        with pytest.raises(ArithmeticError, match="residual inf"):
+            spectra._check_residual(residual, 1.0)
+
+    def test_residual_check_measures_columns_not_entries(self):
+        # Every entry is within 1e-8 * ||M||; one column's norm, 2e-8, is not.
+        residual = np.full((4, 3), 0.5e-9)
+        residual[:, 2] = 1e-8
+        spectra._check_residual(residual[:, :2], 1.0)
+        with pytest.raises(ArithmeticError, match="residual 2.000e-08"):
+            spectra._check_residual(residual, 1.0)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+        st.lists(st.integers(0, 29), max_size=10),
+    )
+    def test_degeneracy_groups_split_exactly_between_distant_neighbours(
+        self, values, ties
+    ):
+        # Plant near-ties: some values get a neighbour within a relative 1e-9.
+        values += [values[i % len(values)] * (1 + 1e-9) for i in ties]
+        values = np.sort(np.array(values))
+        tol = spectra._GROUPING_TOL
+        groups = spectra._degeneracy_groups(values, tol)
+        assert sum(count for _, count in groups) == len(values)
+
+        def close(x, y):
+            return abs(x - y) <= tol * max(abs(x), abs(y))
+
+        start = 0
+        for mean, count in groups:
+            block = values[start : start + count]
+            assert count >= 1 and mean == float(block.mean())
+            assert all(close(x, y) for x, y in zip(block[1:], block[:-1]))
+            if start:
+                assert not close(values[start - 1], values[start])
+            start += count
 
     @pytest.mark.parametrize(
         "matrix",
@@ -594,6 +635,26 @@ class TestSingularSpectrum:
         monkeypatch.setattr(spectra, "_secular_roots", counting_secular_roots)
         singular_spectra([(19, 0), (20, 3), (20, 0)])
         assert sorted(calls) == [9, 10, 10], calls
+
+    @pytest.mark.parametrize("rows", [1, 7, 10**6])
+    def test_work_array_rows_change_no_value_beyond_rounding(self, rows, monkeypatch):
+        # BLAS's matrix-vector kernel takes rows in small groups (four with
+        # OpenBLAS on x86-64), and a row's last bit depends on its place in
+        # one.  One chunk of every row groups them as 64 does; 1 and 7 rows
+        # move a secular root by about an ulp.
+        def outputs():
+            columns = spectra._factor_block(300, 300).columns
+            return singular_spectra([(41, 3), (40, 0), (20, 1)]) + (
+                spectra._derived_squares(columns, 2)
+            )
+
+        default = outputs()
+        monkeypatch.setattr(spectra, "_ROWS", rows)
+        for got, expected in zip(outputs(), default, strict=True):
+            if rows == 10**6:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.parametrize("block", [(300, 300), (301, 300)])
     def test_eigensolve_holds_one_block_array(self, block, monkeypatch):
