@@ -22,9 +22,25 @@ def _triple_terms(m: int, n: int, size: int) -> np.ndarray:
 
 
 def dense_triple_product(m: int, n: int, size: int) -> float:
-    """-(A^3)_mn over r, s <= size: each row r summed exactly, then the rows."""
-    rows = [math.fsum(row.tolist()) for row in _triple_terms(m, n, size)]
-    return -math.fsum(rows)
+    """-(A^3)_mn over r, s <= size, each term rounded once, summed exactly.
+
+    With a_ij = -4 i j / (pi (i^2 - j^2)) the nonzero terms are
+
+        64 m n / pi^3 * r^2 s^2 / ((m^2 - r^2) (r^2 - s^2) (s^2 - n^2)),
+
+    r of parity opposite to m and s opposite to n.  Numerator and
+    denominator are integers below 2^53 for size <= 450, so each quotient is
+    correctly rounded; the product of three rounded entries would carry a
+    few ulps per term, which cancellation can lift above 1e-12 of the sum.
+    """
+    if (m + n) % 2 == 0:
+        return -0.0
+    if size > 450:
+        raise ValueError("integer terms are exact in float only for size <= 450")
+    r = np.arange(1 + m % 2, size + 1, 2, dtype=np.int64) ** 2
+    s = np.arange(1 + n % 2, size + 1, 2, dtype=np.int64) ** 2
+    quotients = (r[:, None] * s) / ((m * m - r)[:, None] * (r[:, None] - s) * (s - n * n))
+    return 64.0 * m * n / math.pi**3 * math.fsum(quotients.ravel().tolist())
 
 
 def plain_triple_product(m: int, n: int, size: int) -> float:
