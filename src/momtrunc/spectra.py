@@ -224,7 +224,7 @@ def _factor_block(p: int, q: int) -> _Factored:
     basis[:, null:] *= sigma
     back = t.T @ x[:, null:]
     back -= basis[:, null:]
-    _check_residual(back, max(float(sigma[-1]), 1e-300))
+    _check_residual(back, float(sigma[-1]))
     sides = (long_side, short_side) if p <= q else (short_side, long_side)
     return _Factored(squares, *sides)
 
@@ -488,12 +488,6 @@ def spectrum_pairing(size: int) -> PairingReport:
     return PairingReport(size, size // 2, size % 2)
 
 
-def _nearest_with_parity(x: float, odd: bool) -> int:
-    if odd:
-        return max(2 * round((x - 1.0) / 2.0) + 1, 1)
-    return max(2 * round(x / 2.0), 0)
-
-
 def near_integer_check(size: int) -> list[NearInteger]:
     """Distance of each eigenvalue magnitude from opposite-parity integers.
 
@@ -523,7 +517,8 @@ def near_integer_check(size: int) -> list[NearInteger]:
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     magnitudes = np.sqrt(singular_spectra([(size, 0)])[0][size % 2 :: 2]).tolist()
-    references = [_nearest_with_parity(x, size % 2 == 0) for x in magnitudes]
+    parity = 1 - size % 2
+    references = [2 * round((x - parity) / 2) + parity for x in magnitudes]
     return [NearInteger(x, r, abs(x - r)) for x, r in zip(magnitudes, references)]
 
 

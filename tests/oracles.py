@@ -21,7 +21,7 @@ def _triple_terms(m: int, n: int, size: int) -> np.ndarray:
     return a[m - 1][:, None] * (a * a[:, n - 1][None, :])
 
 
-def dense_triple_product(m: int, n: int, size: int) -> float:
+def dense_triple_product(m: int, n: int, size: int) -> tuple[float, float]:
     """-(A^3)_mn over r, s <= size, each term rounded once, summed exactly.
 
     With a_ij = -4 i j / (pi (i^2 - j^2)) the nonzero terms are
@@ -32,15 +32,23 @@ def dense_triple_product(m: int, n: int, size: int) -> float:
     denominator are integers below 2^53 for size <= 450, so each quotient is
     correctly rounded; the product of three rounded entries would carry a
     few ulps per term, which cancellation can lift above 1e-12 of the sum.
+
+    Also returns the sum of the absolute terms, sum_{r,s} |a_mr a_rs a_sn|,
+    the scale of the rounding error any evaluation from rounded terms
+    carries, this one and the closed form alike.
     """
     if (m + n) % 2 == 0:
-        return -0.0
+        return -0.0, 0.0
     if size > 450:
         raise ValueError("integer terms are exact in float only for size <= 450")
     r = np.arange(1 + m % 2, size + 1, 2, dtype=np.int64) ** 2
     s = np.arange(1 + n % 2, size + 1, 2, dtype=np.int64) ** 2
     quotients = (r[:, None] * s) / ((m * m - r)[:, None] * (r[:, None] - s) * (s - n * n))
-    return 64.0 * m * n / math.pi**3 * math.fsum(quotients.ravel().tolist())
+    prefactor = 64.0 * m * n / math.pi**3
+    return (
+        prefactor * math.fsum(quotients.ravel().tolist()),
+        prefactor * math.fsum(np.abs(quotients).ravel().tolist()),
+    )
 
 
 def plain_triple_product(m: int, n: int, size: int) -> float:
