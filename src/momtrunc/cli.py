@@ -47,10 +47,10 @@ class UsageError(ValueError):
 # EXPERIMENTS), checked before anything is allocated (see _check_memory).
 _MAX_DENSE_BYTES = 4 * 2**30
 # Bytes per label that table1, diverge, p2check and tails hold at peak for
-# their largest size: a few float64 vectors of the size, summed by math.fsum
-# one fixed-size chunk at a time (measured peak RSS above the ~29 MiB
-# interpreter at N = 10^6 and 4 * 10^6: 21 B for tails, 32-35 B for table1
-# and p2check, 44 B for diverge; 64 keeps a margin).
+# their largest size: a few float64 vectors of the size, which math.fsum
+# reads one value at a time (measured peak RSS above the ~29 MiB
+# interpreter at N = 10^6 and 4 * 10^6: 20 B for tails, 24 B for p2check,
+# 32-33 B for table1 and diverge; 64 keeps a margin).
 _LINEAR_BYTES_PER_LABEL = 64
 # Largest pair label, the largest size the O(N) commands accept (2^26): up
 # to it m^2 is exact in float64, so every closed-form evaluation of a_mn
@@ -280,7 +280,7 @@ def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
     _check_cells(products._check_labels, pairs, sizes)
     rows = []
     for m, n in pairs:
-        exact = float(m * m * n * n) if m == n else 0.0
+        exact = p2_exact_entry(m, n) ** 2
         values = [products.quad_power_entry(m, n, size) for size in sizes]
         partials = [products.pp2p_partial_sum(m, n, size) for size in sizes]
         deviations = [abs(v - exact) for v in values]

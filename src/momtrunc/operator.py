@@ -13,7 +13,6 @@ kept independent of the closed forms it validates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -38,22 +37,13 @@ def _check_index(value: int, name: str = "index", least: int = 1) -> int:
     return int(value)
 
 
-# Terms that _fsum converts to Python floats at a time.
-_FSUM_CHUNK = 65536
-
-
 def _fsum(terms: np.ndarray) -> float:
     """``math.fsum`` of a 1-D float array: its exactly rounded sum.
 
-    Values are handed over as Python floats one chunk at a time, so no list
-    of all N values (32 bytes each) is ever built.
+    A memoryview hands the values over as Python floats one at a time, so no
+    list of all N values (32 bytes each) is ever built.
     """
-    return math.fsum(
-        itertools.chain.from_iterable(
-            terms[start : start + _FSUM_CHUNK].tolist()
-            for start in range(0, terms.size, _FSUM_CHUNK)
-        )
-    )
+    return math.fsum(memoryview(terms))
 
 
 def _closed_form(m, n):
@@ -93,7 +83,7 @@ def _w_block(p: int, q: int) -> np.ndarray:
     """Leading p x q block of W: odd labels 1..2p-1 against even labels 2..2q.
 
     In parity order the truncation is [[0, W], [-W^T, 0]], so W holds every
-    nonzero entry; every dense array here is assembled from it.
+    nonzero entry.
     """
     m = np.arange(1.0, 2.0 * p, 2.0)
     n = np.arange(2.0, 2.0 * q + 1.0, 2.0)
@@ -113,30 +103,6 @@ def momentum_array(size: int) -> np.ndarray:
     a[1::2, 0::2] = -w.T
     a.flags.writeable = False
     return a
-
-
-def _square_array(size: int) -> np.ndarray:
-    """Read-only square of the truncated momentum matrix, -A A (symmetric, PSD).
-
-    Built parity-block-wise from W: the odd block is W W^T and the even block
-    is W^T W, because the even-odd block of A is exactly -W^T.  Gram products
-    keep the square exactly symmetric and exactly zero on opposite-parity
-    entries.
-
-    Both blocks come from one W taken at the next even order and sliced: the
-    extra even label does not extend the odd middle-index range, so the
-    values are unchanged, while the BLAS product for the even block is run
-    on identical inputs for adjacent orders.  Deleting the trailing row and
-    column of an even-order square therefore reproduces the odd-order
-    square's even block entrywise exactly, not merely to rounding.
-    """
-    half, q = (size + 1) // 2, size // 2
-    w = _w_block(half, half)
-    out = np.zeros((size, size))
-    out[0::2, 0::2] = w[:, :q] @ w[:, :q].T
-    out[1::2, 1::2] = (w.T @ w)[:q, :q]
-    out.flags.writeable = False
-    return out
 
 
 _QUAD_PANELS = 1024

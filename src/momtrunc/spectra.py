@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import _check_index, _square_array, _w_block
+from .operator import _check_index, _w_block
 
 __all__ = [
     "SpectrumReport",
@@ -458,8 +458,28 @@ def largest_order(budget: int) -> int:
 
 
 def squared_momentum(size: int) -> np.ndarray:
-    """Read-only square of the size-truncated momentum matrix (symmetric, PSD)."""
-    return _square_array(_check_index(size, "size"))
+    """Read-only square of the truncated momentum matrix, -A A (symmetric, PSD).
+
+    Built parity-block-wise from W: the odd block is W W^T and the even block
+    is W^T W, because the even-odd block of A is exactly -W^T.  Gram products
+    keep the square exactly symmetric and exactly zero on opposite-parity
+    entries.
+
+    Both blocks come from one W taken at the next even order and sliced: the
+    extra even label does not extend the odd middle-index range, so the
+    values are unchanged, while the BLAS product for the even block is run
+    on identical inputs for adjacent orders.  Deleting the trailing row and
+    column of an even-order square therefore reproduces the odd-order
+    square's even block entrywise exactly, not merely to rounding.
+    """
+    size = _check_index(size, "size")
+    half, q = (size + 1) // 2, size // 2
+    w = _w_block(half, half)
+    out = np.zeros((size, size))
+    out[0::2, 0::2] = w[:, :q] @ w[:, :q].T
+    out[1::2, 1::2] = (w.T @ w)[:q, :q]
+    out.flags.writeable = False
+    return out
 
 
 def spectrum_pairing(size: int) -> PairingReport:
@@ -538,5 +558,5 @@ def truncate_after_squaring(build_order: int, deleted_tail: int) -> np.ndarray:
     """
     build_order = _check_index(build_order, "build_order")
     keep = build_order - _check_deleted_tail(build_order, deleted_tail)
-    return _square_array(build_order)[:keep, :keep]
+    return squared_momentum(build_order)[:keep, :keep]
 

@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from momtrunc.operator import _square_array, _w_block, momentum_array
-from momtrunc.spectra import eigen_symmetric
+from momtrunc.operator import _w_block, momentum_array
+from momtrunc.spectra import eigen_symmetric, squared_momentum
 
 
 def _triple_terms(m: int, n: int, size: int) -> np.ndarray:
@@ -68,7 +68,7 @@ def dense_fourth_power_entry(m: int, n: int, size: int) -> tuple[float, float]:
     Also returns the sum of the absolute products, the scale of the rounding
     error both this and a closed-form evaluation carry.
     """
-    square = _square_array(size)
+    square = squared_momentum(size)
     terms = square[m - 1] * square[:, n - 1]
     return math.fsum(terms.tolist()), math.fsum(np.abs(terms).tolist())
 
@@ -217,7 +217,7 @@ def dense_pairing(size: int, tol: float = 1e-6) -> DensePairing:
     Eigenvalues at or below 1e-8 of the largest count as zero modes; the
     rest must pair up as doublets within ``tol`` relative.
     """
-    values = eigen_symmetric(_square_array(size)).eigenvalues
+    values = eigen_symmetric(squared_momentum(size)).eigenvalues
     violations: list[str] = []
     zero_cut = 1e-8 * max(float(values[-1]), 1.0)
     zero_modes = int(np.count_nonzero(values <= zero_cut))

@@ -181,7 +181,7 @@ class TestOtherCommands:
 
         monkeypatch.setattr(np.linalg, "eigh", half_size_eigh)
         monkeypatch.setattr(operator, "momentum_array", refuse)
-        monkeypatch.setattr(spectra, "_square_array", refuse)
+        monkeypatch.setattr(spectra, "squared_momentum", refuse)
         assert run_cli(args + ["--out", os.devnull]) == 0
 
     @pytest.mark.parametrize(
@@ -425,6 +425,17 @@ class TestDenseSizeGuard:
         for name, experiment in cli.EXPERIMENTS.items():
             if name != "table2":
                 assert experiment.max_size == cli._MAX_LABEL
+
+    def test_labels_up_to_the_linear_limit_evaluate_exactly(self):
+        # Up to the limit m^2 is exact in float64, so the scalar and the row
+        # evaluation of a_mn agree bit for bit.
+        label = cli._MAX_LABEL
+        assert label * label < 2**53
+        entry = operator.momentum_entry
+        assert entry(label - 1, label) == -entry(label, label - 1)
+        row = operator.momentum_row(label, 5)
+        for s in range(1, 6):
+            assert row[s - 1] == entry(label, s)
 
     def test_linear_limit_covers_the_measured_peak(self):
         # table1 at N = 10^7 peaks at about 450 MiB of RSS.

@@ -188,7 +188,7 @@ class TestMatrixBuilders:
             a[0, 1] = 5.0
 
     def test_square_is_parity_decoupled_exactly(self):
-        square = operator._square_array(7)
+        square = spectra.squared_momentum(7)
         for m in range(1, 8):
             for n in range(1, 8):
                 if (m + n) % 2 == 1:
@@ -196,8 +196,8 @@ class TestMatrixBuilders:
 
     @pytest.mark.parametrize(
         "build, size",
-        [(momentum_array, 2000), (operator._square_array, 1999)],
-        ids=["momentum_array", "_square_array"],
+        [(momentum_array, 2000), (spectra.squared_momentum, 1999)],
+        ids=["momentum_array", "squared_momentum"],
     )
     def test_dense_builders_peak_low_and_keep_nothing(self, build, size):
         # Assembled from one W, with no cache: below 2 N^2 doubles at peak,
@@ -214,6 +214,33 @@ class TestMatrixBuilders:
             tracemalloc.stop()
         assert peak < 2 * doubles
         assert kept < doubles / 100
+
+
+class TestExactSum:
+    def test_holds_constant_python_memory(self):
+        # No list of the N terms (32 bytes each) is built: 32 MB here.
+        terms = np.ones(10**6)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            operator._fsum(terms)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("layout", ["strided", "reversed", "empty", "read-only"])
+    def test_matches_fsum_of_the_list_for_any_layout(self, layout):
+        values = (-1.0) ** np.arange(2001) / np.arange(1.0, 2002.0)
+        read_only = values.copy()
+        read_only.flags.writeable = False
+        terms = {
+            "strided": values[::3],
+            "reversed": values[::-1],
+            "empty": values[:0],
+            "read-only": read_only,
+        }[layout]
+        assert operator._fsum(terms).hex() == math.fsum(terms.tolist()).hex()
 
 
 def test_package_exports_each_modules_public_names():

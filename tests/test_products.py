@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import TABLE1, tol_from_printed
 from momtrunc import products
 from momtrunc.operator import (
-    _square_array,
     momentum_array,
     momentum_entry,
     momentum_row,
@@ -21,6 +20,7 @@ from momtrunc.products import (
     quad_power_entry,
     triple_product_sum,
 )
+from momtrunc.spectra import squared_momentum
 from momtrunc.tails import boundary_contribution
 from oracles import dense_fourth_power_entry, dense_triple_product, plain_triple_product
 
@@ -145,8 +145,8 @@ class TestSquarePartialSums:
         assert p2_partial_sum(1, 2, 1000) == 0.0
 
     def test_chunked_sum_is_bit_identical(self):
-        # the terms span several of _fsum's chunks; fsum is exactly rounded,
-        # so summing chunk by chunk cannot change a bit
+        # fsum is exactly rounded, so handing the terms over one at a time
+        # through a memoryview cannot change a bit
         size = 300_001
         terms = momentum_row(1, size) * momentum_row(3, size)
         assert p2_partial_sum(1, 3, size).hex() == math.fsum(terms.tolist()).hex()
@@ -279,7 +279,7 @@ class TestClosedFormAgainstDense:
     @given(labels_and_size)
     def test_square_column(self, case):
         _, n, size = case
-        square = _square_array(size)
+        square = squared_momentum(size)
         error = np.abs(products._square_column(n, size) - square[:, n - 1]).max()
         assert error <= 1e-13 * np.abs(square).max()
 
