@@ -16,7 +16,8 @@ builder receives exactly its record's keys and first passes every
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
-accepts under a fixed memory limit), decided before any computation; 1
+accepts: a fixed memory limit sets table2's, exact float64 labels every
+other command's), decided before any computation; 1
 runtime failure (an output path that cannot be written, refused before any
 computation, a failed eigensolve residual check, or any other error the
 library raises), reported as one ``momtrunc: error:`` line.
@@ -43,19 +44,13 @@ class UsageError(ValueError):
     """Invalid flag or config-file value; maps to exit code 2."""
 
 
-# Memory limit that sets each command's largest accepted size (max_size in
-# EXPERIMENTS), checked before anything is allocated (see _check_memory).
+# Memory limit that sets table2's largest accepted size (max_size in
+# EXPERIMENTS), checked before anything is allocated (see _check_size).
 _MAX_DENSE_BYTES = 4 * 2**30
-# Bytes per label that table1, diverge, p2check and tails hold at peak for
-# their largest size: a few float64 vectors of the size, which math.fsum
-# reads one value at a time (measured peak RSS above the ~29 MiB
-# interpreter at N = 10^6 and 4 * 10^6: 20 B for tails, 24 B for p2check,
-# 32-33 B for table1 and diverge; 64 keeps a margin).
-_LINEAR_BYTES_PER_LABEL = 64
-# Largest pair label, the largest size the O(N) commands accept (2^26): up
-# to it m^2 is exact in float64, so every closed-form evaluation of a_mn
-# agrees bit for bit.
-_MAX_LABEL = _MAX_DENSE_BYTES // _LINEAR_BYTES_PER_LABEL
+# Largest pair label, and the largest size every other command accepts: up
+# to it m^2 <= 2^52 is exact in float64, so every closed-form evaluation of
+# a_mn agrees bit for bit.
+_MAX_LABEL = 2**26
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -164,14 +159,13 @@ def _assemble_config(args: argparse.Namespace) -> dict[str, Any]:
     return cfg
 
 
-def _check_memory(command: str, cfg: dict[str, Any]) -> None:
+def _check_size(command: str, cfg: dict[str, Any]) -> None:
     """Refuse a largest size above the command's limit, naming that limit."""
     limit = EXPERIMENTS[command].max_size
     sizes = cfg.get("sizes")
     if sizes and sizes[-1] > limit:
         raise UsageError(
-            f"{command} at size {sizes[-1]} exceeds the "
-            f"{_MAX_DENSE_BYTES / 2**30:.0f} GiB memory limit; "
+            f"{command} at size {sizes[-1]} is too large; "
             f"sizes are accepted up to N = {limit}"
         )
 
@@ -449,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     experiment = EXPERIMENTS[args.command]
     try:
         cfg = _assemble_config(args)
-        _check_memory(args.command, cfg)
+        _check_size(args.command, cfg)
         _check_out(cfg["out"])
         columns, rows = experiment.run(**{key: cfg[key] for key in experiment.defaults})
         if cfg["format"] == "csv":

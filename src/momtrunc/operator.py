@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "momentum_entry",
-    "momentum_row",
     "momentum_array",
     "quadrature_entry",
     "p2_exact_entry",
@@ -69,14 +68,9 @@ def momentum_entry(m: int, n: int) -> float:
     return _closed_form(m, n)
 
 
-def momentum_row(m: int, size: int) -> np.ndarray:
-    """Vector of a_ms for s = 1..size, evaluated by the same closed form."""
-    m = _check_index(m, "m")
-    size = _check_index(size, "size")
-    out = np.zeros(size)
-    s = np.arange(1 + m % 2, size + 1, 2.0)  # labels of the other parity
-    out[m % 2 :: 2] = _closed_form(m, s)
-    return out
+def _partners(m: int, size: int) -> np.ndarray:
+    """Labels s = 1..size with m + s odd: the only ones where a_ms can be nonzero."""
+    return np.arange(1 + m % 2, size + 1, 2.0)
 
 
 def _w_block(p: int, q: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .operator import _check_index, _fsum, momentum_entry, momentum_row
+from .operator import _check_index, _closed_form, _fsum, _partners, momentum_entry
 
 __all__ = [
     "triple_product_sum",
@@ -51,10 +51,12 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def _square_column(n: int, size: int) -> np.ndarray:
-    """Column n of the truncated square B = -A A, labels 1..size, in O(size).
+    """Column n of the truncated square B = -A A on its nonzero rows, in O(size).
 
-    With middle labels s of parity opposite to n, up to the largest such
-    s_N <= size, partial fractions give for r != n of the parity of n
+    Those rows are the labels r <= size with r + n even, ascending from
+    2 - n % 2; on the others B_rn is exactly zero.  With middle labels s of
+    parity opposite to n, up to the largest such s_N <= size, partial
+    fractions give for r != n
 
         B_rn = 16 r n / (pi^2 (n^2 - r^2)) * [r^2 S(r) - n^2 S(n)],
         S(x) = sum_s 1/(x^2 - s^2) = (D(x) - [x odd]/x) / (2x),
@@ -62,12 +64,9 @@ def _square_column(n: int, size: int) -> np.ndarray:
     where D(x) sums 1/k over odd k in (s_N - x, s_N + x].  Stepping x by one
     adds exactly one positive term to D, so D is a prefix sum; the [x odd]
     terms cancel between r and n.  The diagonal B_nn = sum_s a_ns^2 is summed
-    directly.  Rows of the other parity are exactly zero.
+    directly.
     """
-    column = np.zeros(size)
     s_top = size if (size + n) % 2 == 1 else size - 1
-    if s_top < 1:
-        return column
     # Step x adds 1/k with k the odd one of s_top + 1 - x and s_top + x.
     steps = np.arange(1.0, size + 1.0)
     below = slice((s_top + 1) % 2, None, 2)
@@ -77,12 +76,12 @@ def _square_column(n: int, size: int) -> np.ndarray:
     del steps  # peak memory stays at a few columns
     r = np.arange(2 - n % 2, size + 1, 2.0)
     with np.errstate(invalid="ignore"):  # 0/0 at r = n, replaced below
-        column[1 - n % 2 :: 2] = (
+        column = (
             8.0 * r * n * (r * d[2 - n % 2 :: 2] - n * d[n])
             / (math.pi**2 * (n * n - r * r))
         )
-    del d, r  # before the diagonal's row of A is built
-    column[n - 1] = _fsum(momentum_row(n, size) ** 2)
+    del d, r  # before the diagonal's partners are built
+    column[(n - 1) // 2] = _fsum(_closed_form(n, _partners(n, size)) ** 2)
     return column
 
 
@@ -127,8 +126,9 @@ def triple_product_sum(m: int, n: int, size: int) -> float:
     m, n, size = _check_labels(m, n, size)
     if (m + n) % 2 == 0:
         return -0.0
+    # The rows where column n is nonzero are the partners of m.
     column = _square_column(n, size)
-    return _fsum(momentum_row(m, size) * column)
+    return _fsum(_closed_form(m, _partners(m, size)) * column)
 
 
 def p2_partial_sum(m: int, n: int, size: int) -> float:
@@ -140,9 +140,11 @@ def p2_partial_sum(m: int, n: int, size: int) -> float:
     m = _check_index(m, "m")
     n = _check_index(n, "n")
     size = _check_index(size, "size")
+    if (m + n) % 2 == 1:
+        return 0.0  # every term a_ms a_ns is exactly zero
     # a_sn = -a_ns, so -a_ms a_sn = a_ms a_ns.
-    terms = momentum_row(m, size) * momentum_row(n, size)
-    return _fsum(terms)
+    s = _partners(m, size)
+    return _fsum(_closed_form(m, s) * _closed_form(n, s))
 
 
 def associativity_gap(m: int, n: int) -> tuple[float, float]:
@@ -176,7 +178,7 @@ def pp2p_partial_sum(m: int, n: int, s_max: int) -> float:
     even (for odd m + n the expansion has no common middle parity).
     """
     m, n, s_max = _check_middle_sum(m, n, s_max)
-    s = np.arange(1 + m % 2, s_max + 1, 2, dtype=float)
+    s = _partners(m, s_max)
     if s.size == 0:
         return 0.0
     terms = s**4 / ((m * m - s**2) * (s**2 - n * n))

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import _check_index, _fsum
+from .operator import _check_index, _fsum, _partners
 
 __all__ = [
     "boundary_contribution",
@@ -58,14 +58,14 @@ def boundary_contribution(m: int, n: int, size: int) -> float:
     """
     m, n, size = _check_boundary(m, n, size)
     big = float(size)
-    s = np.arange(1.0, big, 2.0)
+    s = _partners(n, size - 1)
     first = (
         big**2
         / (m * m - big**2)
         * _fsum(s**2 / ((big**2 - s**2) * (s**2 - n * n)))
     )
     edge = big - 1.0
-    r = np.arange(2.0, big - 1.0, 2.0)
+    r = _partners(m, size - 2)
     second = (
         edge**2
         / (edge**2 - n * n)

@@ -427,19 +427,49 @@ class TestDenseSizeGuard:
                 assert experiment.max_size == cli._MAX_LABEL
 
     def test_labels_up_to_the_linear_limit_evaluate_exactly(self):
-        # Up to the limit m^2 is exact in float64, so the scalar and the row
+        # Up to the limit m^2 is exact in float64, so the scalar and the array
         # evaluation of a_mn agree bit for bit.
         label = cli._MAX_LABEL
         assert label * label < 2**53
         entry = operator.momentum_entry
         assert entry(label - 1, label) == -entry(label, label - 1)
-        row = operator.momentum_row(label, 5)
+        partners = operator._partners(label, 5)
+        row = dict(zip(partners, operator._closed_form(label, partners)))
         for s in range(1, 6):
-            assert row[s - 1] == entry(label, s)
+            assert row.get(s, 0.0) == entry(label, s)
 
     def test_linear_limit_covers_the_measured_peak(self):
-        # table1 at N = 10^7 peaks at about 450 MiB of RSS.
-        assert cli._LINEAR_BYTES_PER_LABEL * 10**7 >= 450 * 2**20
+        # Each O(N) command's peak RSS at N = 10^6, less a bare import's,
+        # scaled to the largest accepted size, fits the memory limit.  On
+        # Linux a child's ru_maxrss starts from its parent's RSS at spawn, so
+        # the children are started from a launcher that never imports numpy.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "child.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(child.returncode, usage.ru_maxrss * 1024)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def peak(*args):
+            argv = [sys.executable, "-c", launcher, sys.executable, *args]
+            result = subprocess.run(
+                argv, env=env, capture_output=True, text=True, check=True
+            )
+            code, rss = map(int, result.stdout.split())
+            assert code == 0
+            return rss
+
+        size = 10**6
+        imported = peak("-c", "import momtrunc.cli")
+        linear = [("table1", "1,2"), ("diverge", "1,1"), ("p2check", "1,1"), ("tails", "1,2")]
+        for command, pairs in linear:
+            args = ["-m", "momtrunc.cli", command, "--pairs", pairs, "--sizes", str(size)]
+            per_label = (peak(*args) - imported) / size
+            scaled = imported + per_label * cli._MAX_LABEL
+            assert scaled <= cli._MAX_DENSE_BYTES, (command, per_label)
 
     @pytest.mark.parametrize(
         "command, pairs",

@@ -11,7 +11,6 @@ from momtrunc import operator, products, spectra, tails
 from momtrunc.operator import (
     momentum_array,
     momentum_entry,
-    momentum_row,
     p2_exact_entry,
     p3_hermitian_entry,
     p3_naive_entry,
@@ -179,8 +178,11 @@ class TestMatrixBuilders:
 
     def test_row_matches_matrix_row(self):
         a = momentum_array(40)
-        assert np.array_equal(momentum_row(3, 40), a[2])
-        assert np.array_equal(momentum_row(40, 40), a[39])
+        for m in (3, 40):
+            s = operator._partners(m, 40)
+            where = s.astype(int) - 1
+            assert np.array_equal(a[m - 1, where], operator._closed_form(m, s))
+            assert not np.delete(a[m - 1], where).any()
 
     def test_arrays_are_read_only(self):
         a = momentum_array(10)

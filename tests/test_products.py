@@ -6,11 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TABLE1, tol_from_printed
-from momtrunc import products
+from momtrunc import operator, products
 from momtrunc.operator import (
     momentum_array,
     momentum_entry,
-    momentum_row,
     p3_hermitian_entry,
 )
 from momtrunc.products import (
@@ -148,7 +147,10 @@ class TestSquarePartialSums:
         # fsum is exactly rounded, so handing the terms over one at a time
         # through a memoryview cannot change a bit
         size = 300_001
-        terms = momentum_row(1, size) * momentum_row(3, size)
+        rows = np.zeros((2, size))
+        s = np.arange(2.0, size + 1, 2.0)  # where a_1s and a_3s can be nonzero
+        rows[:, 1::2] = [operator._closed_form(1, s), operator._closed_form(3, s)]
+        terms = rows[0] * rows[1]
         assert p2_partial_sum(1, 3, size).hex() == math.fsum(terms.tolist()).hex()
 
     def test_monotone_from_below_on_diagonal(self):
@@ -280,8 +282,32 @@ class TestClosedFormAgainstDense:
     def test_square_column(self, case):
         _, n, size = case
         square = squared_momentum(size)
-        error = np.abs(products._square_column(n, size) - square[:, n - 1]).max()
+        rows = np.arange(2 - n % 2, size + 1, 2) - 1  # r + n even
+        error = np.abs(products._square_column(n, size) - square[rows, n - 1]).max()
         assert error <= 1e-13 * np.abs(square).max()
+        assert not np.delete(square[:, n - 1], rows).any()
+
+    @settings(deadline=None)
+    @given(labels_and_size)
+    def test_sums_skip_only_exact_zeros(self, case):
+        # Each O(N) sum runs over the labels where its terms can be nonzero;
+        # math.fsum over the full-length vectors, zeros included, rounds the
+        # same exact sum.
+        m, n, size = case
+        a = momentum_array(size)
+        columns = np.zeros((2, size))
+        for column, label in zip(columns, (m, n)):
+            column[1 - label % 2 :: 2] = products._square_column(label, size)
+
+        def full(x, y):
+            return math.fsum((x * y).tolist()).hex()
+
+        assert quad_power_entry(m, n, size).hex() == full(columns[0], columns[1])
+        p2 = p2_partial_sum(m, n, size)
+        assert p2.hex() == full(a[m - 1], a[n - 1])
+        if (m + n) % 2 == 1:
+            assert triple_product_sum(m, n, size).hex() == full(a[m - 1], columns[1])
+            assert p2 == 0.0 and math.copysign(1.0, p2) == 1.0
 
     @settings(deadline=None)
     @given(labels_and_size)
