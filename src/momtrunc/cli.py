@@ -8,11 +8,11 @@ keys the command reads, which ``--config`` accepts back), column names and
 full-precision rows.
 
 A command reads the flags it lists, and a ``--config`` JSON file may set
-the same keys, as flag text or JSON values.  One reader per key checks the
-registry's defaults (flag text), the config file and the flags in turn;
-later ones win, and a config ``null`` means stdout for ``out``.  A report
-builder receives exactly its record's keys and first passes every
-(m, n, size) cell through the library's own check.
+the same keys, as flag text or JSON values.  One reader per key, and the
+size limit, check the registry's defaults (flag text), the config file and
+the flags in turn; later ones win, and a config ``null`` means stdout for
+``out``.  A report builder receives exactly its record's keys; one cell loop
+passes every (m, n, size) cell through the library's own checks first.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
@@ -155,14 +155,16 @@ def _assemble_config(args: argparse.Namespace) -> dict[str, Any]:
     # Each source's values are checked as it gives them; later sources win.
     cfg: dict[str, Any] = {}
     for given in (experiment.defaults, _OUTPUT_DEFAULTS, file_cfg, flags):
-        cfg.update({key: _KEYS[key][0](value) for key, value in given.items()})
+        values = {key: _KEYS[key][0](value) for key, value in given.items()}
+        _check_size(command, values)
+        cfg.update(values)
     return cfg
 
 
-def _check_size(command: str, cfg: dict[str, Any]) -> None:
+def _check_size(command: str, values: dict[str, Any]) -> None:
     """Refuse a largest size above the command's limit, naming that limit."""
     limit = EXPERIMENTS[command].max_size
-    sizes = cfg.get("sizes")
+    sizes = values.get("sizes")
     if sizes and sizes[-1] > limit:
         raise UsageError(
             f"{command} at size {sizes[-1]} is too large; "
@@ -194,42 +196,44 @@ Pairs = list[tuple[int, int]]
 _LABELS: Columns = [("m", ""), ("n", ""), ("size", "")]
 
 
-def _check_cells(check: Callable, pairs: Pairs, sizes: list[int]) -> None:
-    """Refuse the first (m, n, size) cell the library's ``check`` rejects."""
-    for m, n in pairs:
-        for size in sizes:
+def _grid(
+    pairs: Pairs, sizes: list[int], checks: list[Callable], cells: Callable
+) -> list[Row]:
+    """Rows of m, n, size and ``*cells(m, n, size)``, pair by pair, size by size.
+
+    First each of the library's ``checks`` runs over every cell, one check at
+    a time; the first cell one refuses is a usage error that names it.
+    """
+    grid = [(m, n, size) for m, n in pairs for size in sizes]
+    for check in checks:
+        for m, n, size in grid:
             try:
                 check(m, n, size)
             except ValueError as exc:
                 raise UsageError(f"({m},{n}) at size {size}: {exc}") from None
+    return [[*cell, *cells(*cell)] for cell in grid]
 
 
-def _against_limit(
-    pairs: Pairs, sizes: list[int], columns: Columns, limit: Callable, partial: Callable
-) -> Report:
-    """Rows of m, n, size, partial(m, n, size), limit(m, n) and their |error|."""
-    rows: list[Row] = []
-    for m, n in pairs:
-        target = limit(m, n)
-        for size in sizes:
-            value = partial(m, n, size)
-            rows.append([m, n, size, value, target, abs(value - target)])
-    return _LABELS + columns + [("abs_error", ".3e")], rows
+def _against(partial: Callable, limit: Callable) -> Callable:
+    """The cell function of partial(m, n, size), limit(m, n) and their |error|."""
+
+    def cells(m: int, n: int, size: int) -> tuple[float, float, float]:
+        value, target = partial(m, n, size), limit(m, n)
+        return value, target, abs(value - target)
+
+    return cells
 
 
 def _run_table1(pairs: Pairs, sizes: list[int]) -> Report:
-    _check_cells(products._check_labels, pairs, sizes)
-    columns = [("triple_product", ".6g"), ("target", ".6g")]
-    return _against_limit(
-        pairs, sizes, columns, p3_hermitian_entry, products.triple_product_sum
-    )
+    cells = _against(products.triple_product_sum, p3_hermitian_entry)
+    columns = [("triple_product", ".6g"), ("target", ".6g"), ("abs_error", ".3e")]
+    return _LABELS + columns, _grid(pairs, sizes, [products._check_labels], cells)
 
 
 def _run_p2check(pairs: Pairs, sizes: list[int]) -> Report:
-    columns = [("partial_sum", ".10g"), ("exact", ".6g")]
-    return _against_limit(
-        pairs, sizes, columns, p2_exact_entry, products.p2_partial_sum
-    )
+    cells = _against(products.p2_partial_sum, p2_exact_entry)
+    columns = [("partial_sum", ".10g"), ("exact", ".6g"), ("abs_error", ".3e")]
+    return _LABELS + columns, _grid(pairs, sizes, [], cells)
 
 
 def _run_table2(sizes: list[int], delete_tail: int) -> Report:
@@ -244,63 +248,57 @@ def _run_table2(sizes: list[int], delete_tail: int) -> Report:
     if delete_tail > 0:
         requests.append((largest, delete_tail))
     requests.append((largest, 0))
-    spectra_by_column = [
-        (f"complete_{size}" if d == 0 else f"truncated_{size}_to_{size - d}", values)
-        for (size, d), values in zip(requests, spectra.singular_spectra(requests))
+    names = [
+        f"complete_{size}" if d == 0 else f"truncated_{size}_to_{size - d}"
+        for size, d in requests
     ]
-    depth = max(len(vals) for _, vals in spectra_by_column)
+    # The last column, the complete square of the largest size, is the longest.
+    values = spectra.singular_spectra(requests)
     rows = [
-        [i + 1] + [float(v[i]) if i < len(v) else None for _, v in spectra_by_column]
-        for i in range(depth)
+        [rank, *(float(v[rank - 1]) if rank <= len(v) else None for v in values)]
+        for rank in range(1, largest + 1)
     ]
-    columns = [("rank", "")] + [(name, ".7g") for name, _ in spectra_by_column]
-    return columns, rows
+    return [("rank", "")] + [(name, ".7g") for name in names], rows
 
 
 def _run_assoc(pairs: Pairs) -> Report:
-    rows = []
-    for m, n in pairs:
-        left, right = products.associativity_gap(m, n)
-        ratio = left / right if right != 0.0 else None
-        rows.append([m, n, left, right, ratio])
-    columns = _LABELS[:2] + [
-        ("left_product", ".6g"), ("right_product", ".6g"), ("ratio", ".6g")
+    rows = [
+        [m, n, left, right, left / right if right != 0.0 else None]
+        for m, n in pairs
+        for left, right in [products.associativity_gap(m, n)]
     ]
-    return columns, rows
+    columns = [("left_product", ".6g"), ("right_product", ".6g"), ("ratio", ".6g")]
+    return _LABELS[:2] + columns, rows
 
 
 def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
-    _check_cells(products._check_middle_sum, pairs, sizes)
-    _check_cells(products._check_labels, pairs, sizes)
-    rows = []
-    for m, n in pairs:
+    def cells(m: int, n: int, size: int) -> tuple[float, float, float]:
+        fourth_power = products.quad_power_entry(m, n, size)
         exact = p2_exact_entry(m, n) ** 2
-        values = [products.quad_power_entry(m, n, size) for size in sizes]
-        partials = [products.pp2p_partial_sum(m, n, size) for size in sizes]
-        deviations = [abs(v - exact) for v in values]
+        return fourth_power, exact, products.pp2p_partial_sum(m, n, size)
+
+    checks = [products._check_middle_sum, products._check_labels]
+    rows = _grid(pairs, sizes, checks, cells)
+    # Each pair's rows end with the slope of log |fourth power - exact|
+    # against log size, fitted over that pair's rows.
+    for start in range(0, len(rows), len(sizes)):
+        block = rows[start : start + len(sizes)]
+        deviations = [abs(value - exact) for *_, value, exact, _ in block]
+        slope = None
         if len(sizes) >= 2 and all(d > 0 for d in deviations):
             slope = float(np.polyfit(np.log10(sizes), np.log10(deviations), 1)[0])
-        else:
-            slope = None
-        for size, value, partial in zip(sizes, values, partials):
-            rows.append([m, n, size, value, exact, partial, slope])
+        for row in block:
+            row.append(slope)
     columns = _LABELS + [
-        ("fourth_power", ".8g"),
-        ("exact_fourth_power", ".6g"),
-        ("middle_sum_partial", ".8g"),
-        ("growth_slope", ".4f"),
+        ("fourth_power", ".8g"), ("exact_fourth_power", ".6g"),
+        ("middle_sum_partial", ".8g"), ("growth_slope", ".4f"),
     ]
     return columns, rows
 
 
 def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
-    _check_cells(tails._check_boundary, pairs, sizes)
-    rows = []
-    for m, n in pairs:
-        for size in sizes:
-            estimate = tails.tail_estimate(m, n, size)
-            stages = [estimate.exact, estimate.near_boundary, estimate.telescoped]
-            rows.append([m, n, size, estimate.k_max, *stages])
+    # A TailEstimate's fields are the last four columns, in order.
+    rows = _grid(pairs, sizes, [tails._check_boundary], tails.tail_estimate)
     columns = _LABELS + [
         ("k_max", ""), ("exact", ".6e"), ("near_boundary", ".6e"), ("telescoped", ".6e")
     ]
@@ -308,19 +306,11 @@ def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
 
 
 def _run_spectrum_pairs(sizes: list[int]) -> Report:
-    # The pairs are exact by structure (see spectrum_pairing): their gap is 0.0.
-    rows = []
-    for size in sizes:
-        report = spectra.spectrum_pairing(size)
-        rows.append([size, report.pair_count, report.zero_modes, 0.0, report.ok])
-    columns = [
-        ("size", ""),
-        ("pair_count", ""),
-        ("zero_modes", ""),
-        ("max_pair_gap", ".3e"),
-        ("pairing_ok", ""),
-    ]
-    return columns, rows
+    # A PairingReport's fields are the first three columns.  The pairs are
+    # exact by structure (see spectrum_pairing): their gap is 0.0.
+    rows = [[*r, 0.0, r.ok] for r in map(spectra.spectrum_pairing, sizes)]
+    columns = [("size", ""), ("pair_count", ""), ("zero_modes", "")]
+    return columns + [("max_pair_gap", ".3e"), ("pairing_ok", "")], rows
 
 
 class Experiment(NamedTuple):
@@ -443,7 +433,6 @@ def main(argv: list[str] | None = None) -> int:
     experiment = EXPERIMENTS[args.command]
     try:
         cfg = _assemble_config(args)
-        _check_size(args.command, cfg)
         _check_out(cfg["out"])
         columns, rows = experiment.run(**{key: cfg[key] for key in experiment.defaults})
         if cfg["format"] == "csv":

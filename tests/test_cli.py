@@ -511,6 +511,23 @@ class TestDenseSizeGuard:
             assert err.startswith("momtrunc: error:") and err.count("\n") == 1
             assert "accepted up to N = 13376" in err
 
+    @pytest.mark.parametrize(
+        "command, size, flag, limit",
+        [("table1", 67108865, "100", 67108864), ("table2", 13377, "9,10", 13376)],
+    )
+    def test_oversized_config_size_is_refused_under_a_flag(
+        self, command, size, flag, limit, tmp_path, capsys
+    ):
+        # Like a bad label, an oversized size in a config file is refused even
+        # where a flag overrides it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [size]}), encoding="utf-8")
+        assert run_cli([command, "--config", str(cfg), "--sizes", flag]) == 2
+        assert capsys.readouterr().err == (
+            f"momtrunc: error: {command} at size {size} is too large; "
+            f"sizes are accepted up to N = {limit}\n"
+        )
+
     def test_spectrum_pairs_is_accepted_beyond_the_spectra_limit(self, capsys):
         assert run_cli(["spectrum-pairs", "--sizes", "13377"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "13377,6688,1,0.000e+00,true"
@@ -717,10 +734,19 @@ class TestExitCodes:
                 "2,4",
                 "(1,3) at size 2: size must be >= max(m, n) = 3, got 2",
             ),
+            # Each check runs over every cell before the next check: the
+            # parity of (1,2) is refused before the size of (1,3).
+            (
+                "diverge",
+                "1,3;1,2",
+                "2",
+                "(1,2) at size 2: m + n must be even, got m=1, n=2",
+            ),
         ],
         ids=[
             "m-even", "n-odd", "size-odd", "size-below-10(m+n)",
             "label-above-size", "mixed-parity", "label-above-first-size",
+            "one-check-at-a-time",
         ],
     )
     def test_library_refusals_name_the_cell(

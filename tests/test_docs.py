@@ -31,6 +31,18 @@ def test_cli_example_prints_as_shown(capsys):
     assert capsys.readouterr().out == printed
 
 
+def test_cli_block_runs_as_written(tmp_path):
+    # Each "momtrunc ..." line of the first sh block under README's "## CLI"
+    # heading, with --out appended so that no report lands in the checkout.
+    cli = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", cli, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("momtrunc ")]
+    assert lines
+    for i, line in enumerate(lines):
+        _, *args = shlex.split(line, comments=True)
+        assert main([*args, "--out", str(tmp_path / f"{i}.out")]) == 0, line
+
+
 def test_every_public_function_has_a_caller():
     # Each name in momtrunc.__all__ or momtrunc.cli.__all__ is named in another
     # src/momtrunc module, the acceptance suite, the benchmark or README's
