@@ -19,8 +19,9 @@ experiment does not accept, or a size above the largest one the command
 accepts: a fixed memory limit sets table2's, exact float64 labels every
 other command's), decided before any computation; 1
 runtime failure (an output path that cannot be written, refused before any
-computation, a failed eigensolve residual check, or any other error the
-library raises), reported as one ``momtrunc: error:`` line.
+computation, a failed eigensolve residual check, running out of memory, or
+any other error the library raises), reported as one ``momtrunc: error:``
+line.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
-
-import numpy as np
 
 from . import products, spectra, tails
 from .operator import p2_exact_entry, p3_hermitian_entry
@@ -279,14 +278,15 @@ def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
 
     checks = [products._check_middle_sum, products._check_labels]
     rows = _grid(pairs, sizes, checks, cells)
-    # Each pair's rows end with the slope of log |fourth power - exact|
-    # against log size, fitted over that pair's rows.
+    # Each pair's rows end with the least-squares slope of
+    # log10 |fourth power - exact| against log10 size over that pair's rows,
+    # fitted in closed form with exactly rounded sums (no LAPACK call).
     for start in range(0, len(rows), len(sizes)):
         block = rows[start : start + len(sizes)]
         deviations = [abs(value - exact) for *_, value, exact, _ in block]
         slope = None
         if len(sizes) >= 2 and all(d > 0 for d in deviations):
-            slope = float(np.polyfit(np.log10(sizes), np.log10(deviations), 1)[0])
+            slope = products._loglog_slope(sizes, deviations)
         for row in block:
             row.append(slope)
     columns = _LABELS + [
@@ -448,6 +448,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        # numpy says which allocation failed; a bare MemoryError says nothing.
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"{parser.prog}: error: out of memory{detail}\n")
         return 1
     return 0
 

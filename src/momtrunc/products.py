@@ -12,6 +12,7 @@ reported for a triple product is -(A^3)_mn, and the square is P^2 = -A A.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -36,17 +37,17 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
 
     Inside a chunk the sums are a plain ``np.cumsum``; each chunk starts from
     the exactly rounded sum of every earlier term, carried as a (hi, lo)
-    pair refreshed by ``math.fsum``, so rounding error does not build up
-    across chunks.
+    pair refreshed by ``math.fsum`` over the chunk's memoryview (no list is
+    built), so rounding error does not build up across chunks.
     """
     out = np.zeros(terms.size + 1)
     hi = lo = 0.0
     for start in range(0, terms.size, _PREFIX_CHUNK):
         chunk = terms[start : start + _PREFIX_CHUNK]
         out[start + 1 : start + 1 + chunk.size] = hi + np.cumsum(chunk)
-        parts = [hi, lo, *chunk.tolist()]
-        hi = math.fsum(parts)
-        lo = math.fsum([*parts, -hi])
+        total = math.fsum(chain((hi, lo), memoryview(chunk)))
+        lo = math.fsum(chain((hi, lo, -total), memoryview(chunk)))
+        hi = total
     return out
 
 
@@ -209,3 +210,18 @@ def quad_power_entry(m: int, n: int, size: int) -> float:
     column_m = _square_column(m, size)
     column_n = column_m if m == n else _square_column(n, size)
     return _fsum(column_m * column_n)
+
+
+def _loglog_slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of log10 ys against log10 xs: a divergence's rate.
+
+    In closed form, fsum(du dv) / fsum(du^2) with u, v the logs less their
+    means; every sum is exactly rounded, so the slope is within about one
+    rounding of the exact fit of the rounded logs.
+    """
+    u = [math.log10(x) for x in xs]
+    v = [math.log10(y) for y in ys]
+    u_mean, v_mean = math.fsum(u) / len(u), math.fsum(v) / len(v)
+    du = [x - u_mean for x in u]
+    numerator = math.fsum(d * (y - v_mean) for d, y in zip(du, v))
+    return numerator / math.fsum(d * d for d in du)

@@ -4,15 +4,20 @@
 ``perfbench/checks.py`` compares the default reports with recorded ones.  A
 rename or deletion that would break either fails here, and so does an array
 sweep that no longer runs or sums the wrong products, or a spectra sweep
-that no longer times each size or finds N eigenvalues at size N.
+that no longer times each size or finds N eigenvalues at size N.  The
+growth slopes of the ``diverge`` reports the benchmark runs are checked
+against high-precision least-squares fits.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
+import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,6 +69,38 @@ def test_traced_run_reports_what_main_reports(monkeypatch):
 @pytest.mark.parametrize("command", checks.DEFAULT_COMMANDS)
 def test_default_report_passes_reference_check(command):
     assert checks.reference_check(command)(_report([command])) == []
+
+
+DIVERGE_RUNS = [("diverge",)] + [
+    invocation.args
+    for seed in range(1, 11)
+    for invocation in checks.invocations("products-scale", seed)
+    if invocation.args[0] == "diverge"
+]
+
+
+@pytest.mark.parametrize("args", DIVERGE_RUNS, ids=" ".join)
+def test_diverge_growth_slopes_are_exact_least_squares_fits(args):
+    # Each pair's slope is the least-squares slope of the float logs
+    # log10 |fourth power - exact| against log10 size, rounded once: within
+    # 2 eps of the same fit in 60 digits.
+    report = json.loads(_report([*args, "--format", "json"]))
+    rows = report["rows"]
+    count = len(report["config"]["sizes"])
+    assert rows and len(rows) % count == 0
+    for start in range(0, len(rows), count):
+        block = rows[start : start + count]
+        xs = [math.log10(size) for _, _, size, *_ in block]
+        ys = [math.log10(abs(value - exact)) for *_, value, exact, _, _ in block]
+        with mpmath.workdps(60):
+            x_mean = mpmath.fsum(xs) / count
+            y_mean = mpmath.fsum(ys) / count
+            numerator = mpmath.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+            exact_slope = numerator / mpmath.fsum((x - x_mean) ** 2 for x in xs)
+            slope = block[0][-1]
+            assert all(row[-1] == slope for row in block)
+            error = abs(mpmath.mpf(slope) - exact_slope) / abs(exact_slope)
+            assert error <= 2 * np.finfo(float).eps, (block[0][:2], float(error))
 
 
 def test_array_sweep_times_every_size_and_sums_the_triple_products():

@@ -151,6 +151,17 @@ class TestOtherCommands:
         assert {r["exact_fourth_power"] for r in rows} == {"1"}
         assert float(rows[0]["growth_slope"]) > 0
 
+    def test_diverge_fits_its_slope_without_lapack(self, monkeypatch, capsys):
+        # The growth slope is a closed-form fit; no numpy least-squares call.
+        def fail(*args, **kwargs):
+            raise AssertionError("numpy least squares called")
+
+        monkeypatch.setattr(np, "polyfit", fail)
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        assert run_cli(["diverge"]) == 0
+        golden = Path(__file__).parent / "golden" / "diverge.csv"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_tails_rejects_odd_sizes(self):
         assert run_cli(["tails", "--pairs", "1,2", "--sizes", "199,399"]) == 2
 
@@ -781,6 +792,29 @@ class TestExitCodes:
         assert run_cli(["table2", "--sizes", "9,10"]) == 1
         assert capsys.readouterr().err == "momtrunc: error: no convergence\n"
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 MiB"])
+    @pytest.mark.parametrize(
+        "module, name, args",
+        [
+            (spectra, "_factor_block", ["table2", "--sizes", "9,10"]),
+            (
+                products,
+                "triple_product_sum",
+                ["table1", "--pairs", "1,2", "--sizes", "9"],
+            ),
+        ],
+    )
+    def test_running_out_of_memory_is_one_error_line(
+        self, module, name, args, message, monkeypatch, capsys
+    ):
+        def fail(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, name, fail)
+        assert run_cli(args) == 1
+        detail = f": {message}" if message else ""
+        assert capsys.readouterr().err == f"momtrunc: error: out of memory{detail}\n"
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -827,3 +861,27 @@ def test_cli_imports_only_the_standard_library_and_numpy():
     loaded = set(result.stdout.split())
     assert {"momtrunc", "numpy"} <= loaded
     assert loaded - sys.stdlib_module_names <= {"momtrunc", "numpy"}
+
+
+def test_cli_adds_no_module_to_the_import_chain():
+    # Each module imported at startup adds to every command's setup time.
+    # After numpy and the standard modules the package imports, importing
+    # momtrunc.cli loads only the package and __future__.
+    code = (
+        "import sys\n"
+        "import numpy, argparse, json, pathlib, typing, math, itertools\n"
+        "before = set(sys.modules)\n"
+        "import momtrunc.cli\n"
+        "for name in sorted(set(sys.modules) - before):\n"
+        "    print(name)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(result.stdout.split())
+    assert "momtrunc.cli" in added
+    assert {name for name in added if name.partition(".")[0] != "momtrunc"} <= {
+        "__future__"
+    }

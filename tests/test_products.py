@@ -330,3 +330,30 @@ class TestClosedFormAgainstDense:
         for end in np.linspace(1, size, 40).astype(int):
             exact = math.fsum(terms[:end].tolist())
             assert abs(prefix[end] - exact) <= 1e-15 * exact
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([0, 1, 1023, 1024, 1025]) | st.integers(0, 3 * 1024),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 300),
+    )
+    def test_prefix_sums_keep_the_bits_of_the_list_formula(self, size, seed, spread):
+        # The reference refreshes the (hi, lo) offsets by math.fsum over
+        # lists of floats; any iterable of the same values rounds to the same
+        # exact sums, so every prefix must keep its bits.  Terms of mixed
+        # sign, spread decades either side of 1 (up to 1e-300 to 1e300), at
+        # sizes around the chunk boundary and up to three chunks.
+        rng = np.random.default_rng(seed)
+        decades = rng.integers(-spread, spread + 1, size)
+        terms = rng.standard_normal(size) * 10.0**decades
+        chunk_size = products._PREFIX_CHUNK
+        expected = np.zeros(size + 1)
+        hi = lo = 0.0
+        for start in range(0, size, chunk_size):
+            chunk = terms[start : start + chunk_size]
+            expected[start + 1 : start + 1 + chunk.size] = hi + np.cumsum(chunk)
+            parts = [hi, lo, *chunk.tolist()]
+            hi = math.fsum(parts)
+            lo = math.fsum([*parts, -hi])
+        got = products._prefix_sums(terms)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]
