@@ -22,6 +22,11 @@ runtime failure (an output path that cannot be written, refused before any
 computation, a failed eigensolve residual check, running out of memory, or
 any other error the library raises), reported as one ``momtrunc: error:``
 line.
+
+A command imports the library module it runs only when it runs: ``assoc``
+and ``spectrum-pairs`` run on ``exact`` alone, and they, ``--help`` and a
+flag or config value a reader refuses load no numpy, except under table2,
+whose size limit ``spectra`` computes.
 """
 
 from __future__ import annotations
@@ -33,8 +38,12 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from . import products, spectra, tails
-from .operator import p2_exact_entry, p3_hermitian_entry
+from .exact import (
+    associativity_gap,
+    p2_exact_entry,
+    p3_hermitian_entry,
+    spectrum_pairing,
+)
 
 __all__ = ["main"]
 
@@ -224,18 +233,24 @@ def _against(partial: Callable, limit: Callable) -> Callable:
 
 
 def _run_table1(pairs: Pairs, sizes: list[int]) -> Report:
+    from . import products
+
     cells = _against(products.triple_product_sum, p3_hermitian_entry)
     columns = [("triple_product", ".6g"), ("target", ".6g"), ("abs_error", ".3e")]
     return _LABELS + columns, _grid(pairs, sizes, [products._check_labels], cells)
 
 
 def _run_p2check(pairs: Pairs, sizes: list[int]) -> Report:
+    from . import products
+
     cells = _against(products.p2_partial_sum, p2_exact_entry)
     columns = [("partial_sum", ".10g"), ("exact", ".6g"), ("abs_error", ".3e")]
     return _LABELS + columns, _grid(pairs, sizes, [], cells)
 
 
 def _run_table2(sizes: list[int], delete_tail: int) -> Report:
+    from . import spectra
+
     largest = sizes[-1]
     if delete_tail >= largest:
         default = EXPERIMENTS["table2"].defaults["delete_tail"]
@@ -264,13 +279,15 @@ def _run_assoc(pairs: Pairs) -> Report:
     rows = [
         [m, n, left, right, left / right if right != 0.0 else None]
         for m, n in pairs
-        for left, right in [products.associativity_gap(m, n)]
+        for left, right in [associativity_gap(m, n)]
     ]
     columns = [("left_product", ".6g"), ("right_product", ".6g"), ("ratio", ".6g")]
     return _LABELS[:2] + columns, rows
 
 
 def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
+    from . import products
+
     def cells(m: int, n: int, size: int) -> tuple[float, float, float]:
         fourth_power = products.quad_power_entry(m, n, size)
         exact = p2_exact_entry(m, n) ** 2
@@ -297,6 +314,8 @@ def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
 
 
 def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
+    from . import tails
+
     # A TailEstimate's fields are the last four columns, in order.
     rows = _grid(pairs, sizes, [tails._check_boundary], tails.tail_estimate)
     columns = _LABELS + [
@@ -308,9 +327,16 @@ def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
 def _run_spectrum_pairs(sizes: list[int]) -> Report:
     # A PairingReport's fields are the first three columns.  The pairs are
     # exact by structure (see spectrum_pairing): their gap is 0.0.
-    rows = [[*r, 0.0, r.ok] for r in map(spectra.spectrum_pairing, sizes)]
+    rows = [[*r, 0.0, r.ok] for r in map(spectrum_pairing, sizes)]
     columns = [("size", ""), ("pair_count", ""), ("zero_modes", "")]
     return columns + [("max_pair_gap", ".3e"), ("pairing_ok", "")], rows
+
+
+def _largest_dense_size() -> int:
+    """The largest order whose factorization fits ``_MAX_DENSE_BYTES``."""
+    from . import spectra
+
+    return spectra.largest_order(_MAX_DENSE_BYTES)
 
 
 class Experiment(NamedTuple):
@@ -319,13 +345,19 @@ class Experiment(NamedTuple):
     ``defaults`` maps each key the command reads and requires, besides
     ``format`` and ``out``, to its default as flag text; ``run`` takes
     exactly those keys, as their readers type them, as keyword arguments,
-    and ``max_size`` is the largest size the command accepts.
+    and ``size_limit`` returns the largest size the command accepts, only
+    when it is asked for (table2's loads ``spectra``).
     """
 
     help: str
     run: Callable[..., Report]
     defaults: dict[str, str]
-    max_size: int = _MAX_LABEL
+    size_limit: Callable[[], int] = lambda: _MAX_LABEL
+
+    @property
+    def max_size(self) -> int:
+        """The largest size the command accepts."""
+        return self.size_limit()
 
     @property
     def keys(self) -> list[str]:
@@ -343,7 +375,7 @@ EXPERIMENTS = {
         "eigenvalues of the squared truncation, complete and repaired",
         _run_table2,
         {"sizes": "999,1000", "delete_tail": "1"},
-        max_size=spectra.largest_order(_MAX_DENSE_BYTES),
+        size_limit=_largest_dense_size,
     ),
     "p2check": Experiment(
         "partial sums of the square's entries against m n delta_mn",

@@ -7,8 +7,10 @@ stands for the true entry i * a_mn.  With P = i A, A real antisymmetric, the
 square P^2 = -A A is real symmetric, and truncated powers and spectra never
 need complex numbers.
 
-The quadrature oracle integrates <u_m| (-i d/dx)^k |u_n> numerically and is
-kept independent of the closed forms it validates.
+The scalar entries are computed in ``exact``, which loads no numpy; this
+module builds their arrays.  The quadrature oracle integrates
+<u_m| (-i d/dx)^k |u_n> numerically and is kept independent of the closed
+forms it validates.
 """
 
 from __future__ import annotations
@@ -17,6 +19,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .exact import (
+    _check_index,
+    _closed_form,
+    momentum_entry,
+    p2_exact_entry,
+    p3_hermitian_entry,
+    p3_naive_entry,
+)
 
 __all__ = [
     "momentum_entry",
@@ -28,14 +39,6 @@ __all__ = [
 ]
 
 
-def _check_index(value: int, name: str = "index", least: int = 1) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 def _fsum(terms: np.ndarray) -> float:
     """``math.fsum`` of a 1-D float array: its exactly rounded sum.
 
@@ -43,29 +46,6 @@ def _fsum(terms: np.ndarray) -> float:
     list of all N values (32 bytes each) is ever built.
     """
     return math.fsum(memoryview(terms))
-
-
-def _closed_form(m, n):
-    """a_mn = -4 m n / (pi (m^2 - n^2)) for labels of opposite parity.
-
-    Broadcasts over numpy arrays of labels.  Swapping the arguments negates
-    only the denominator, which IEEE arithmetic performs exactly.
-    """
-    return -4.0 * m * n / (math.pi * (m * m - n * n))
-
-
-def momentum_entry(m: int, n: int) -> float:
-    """I-factored momentum matrix element a_mn (true entry is i * a_mn).
-
-    a_mn = -4 m n / (pi (m^2 - n^2)) when m + n is odd, and 0 when m + n is
-    even.  Swapping the arguments negates only the denominator, which IEEE
-    arithmetic performs exactly, so a_mn == -a_nm to the last bit.
-    """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    if (m + n) % 2 == 0:
-        return 0.0
-    return _closed_form(m, n)
 
 
 def _partners(m: int, size: int) -> np.ndarray:
@@ -146,35 +126,3 @@ def quadrature_entry(m: int, n: int, derivative_order: int) -> tuple[float, floa
     derivative = float(n) ** k * np.sin(n * x + k * math.pi / 2.0)
     value = (-1j) ** k * (2.0 / math.pi) * np.dot(w, np.sin(m * x) * derivative)
     return float(value.real), float(value.imag)
-
-
-def p2_exact_entry(m: int, n: int) -> float:
-    """Entry of the exact operator square: m n on the diagonal, else 0."""
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    return float(m * n) if m == n else 0.0
-
-
-def p3_naive_entry(m: int, n: int) -> float:
-    """I-factored entry of the termwise-differentiated cube: n^2 a_mn.
-
-    This is what integrating u_m (-i d/dx)^3 u_n directly produces.  It is
-    not Hermitian: swapping the labels rescales the value by m^2/n^2 instead
-    of negating it.  The closed form is validated against quadrature_entry
-    with derivative_order=3 in the test suite before anything relies on it.
-    """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    return float(n * n) * momentum_entry(m, n)
-
-
-def p3_hermitian_entry(m: int, n: int) -> float:
-    """I-factored Hermitian part of the naive cube: (m^2 + n^2)/2 * a_mn.
-
-    Equals the average of the two one-sided products of the matrix with its
-    exact square, and is the limit the square-cutoff triple product is
-    observed to converge to.
-    """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    return 0.5 * float(m * m + n * n) * momentum_entry(m, n)

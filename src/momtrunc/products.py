@@ -16,7 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from .operator import _check_index, _closed_form, _fsum, _partners, momentum_entry
+from .exact import _check_index, _closed_form, associativity_gap
+from .operator import _fsum, _partners
 
 __all__ = [
     "triple_product_sum",
@@ -146,19 +147,6 @@ def p2_partial_sum(m: int, n: int, size: int) -> float:
     # a_sn = -a_ns, so -a_ms a_sn = a_ms a_ns.
     s = _partners(m, size)
     return _fsum(_closed_form(m, s) * _closed_form(n, s))
-
-
-def associativity_gap(m: int, n: int) -> tuple[float, float]:
-    """Both one-sided products with the exact square, i-factored.
-
-    The exact square is diagonal, so each infinite sum collapses to a single
-    term: multiplying by the square on the right gives n^2 a_mn, on the left
-    m^2 a_mn.  For m + n odd the two sides differ by the factor n^2/m^2 --
-    the associative law fails for the infinite matrices.  For m + n even
-    both sides vanish.
-    """
-    entry = momentum_entry(m, n)
-    return (float(n * n) * entry, float(m * m) * entry)
 
 
 def _check_middle_sum(m: int, n: int, s_max: int) -> tuple[int, int, int]:

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import _check_index, _w_block
+from .exact import PairingReport, _check_index, spectrum_pairing
+from .operator import _w_block
 
 __all__ = [
     "SpectrumReport",
@@ -63,24 +64,6 @@ class SpectrumReport(NamedTuple):
 
     eigenvalues: np.ndarray
     degeneracy_groups: tuple[tuple[float, int], ...]
-
-
-class PairingReport(NamedTuple):
-    """Opposite-pair structure of the truncated matrix's eigenvalues.
-
-    ``pair_count`` opposite pairs +/-sigma and ``zero_modes`` zero
-    eigenvalues among ``order``; ``ok`` when the counts account for every
-    eigenvalue.  From :func:`spectrum_pairing` the counts are proven; the
-    sigma themselves come from :func:`near_integer_check`.
-    """
-
-    order: int
-    pair_count: int
-    zero_modes: int
-
-    @property
-    def ok(self) -> bool:
-        return 2 * self.pair_count + self.zero_modes == self.order
 
 
 class NearInteger(NamedTuple):
@@ -480,32 +463,6 @@ def squared_momentum(size: int) -> np.ndarray:
     out[1::2, 1::2] = (w.T @ w)[:q, :q]
     out.flags.writeable = False
     return out
-
-
-def spectrum_pairing(size: int) -> PairingReport:
-    """Opposite-pair structure of the truncated matrix's eigenvalues.
-
-    In parity order the truncation is [[0, W], [-W^T, 0]] with
-    W = W(ceil(N/2), floor(N/2)), so its real eigenvalues are +/-sigma for
-    the singular values sigma of W plus ceil(N/2) - floor(N/2) structural
-    zeros: the pairs, and the doublets of the square, are structural.  No
-    sigma is zero either, because W has full column rank at every order.
-    Its entries are
-    -4 m n / (pi (m^2 - n^2)) for odd m = 2i - 1 and even n = 2j, so
-    W = -(4/pi) D_m C D_n with positive diagonal D_m, D_n and the Cauchy
-    matrix C_ij = 1/(x_i - y_j), x_i = m^2, y_j = n^2.  By Cauchy's formula
-    the leading q x q block of C has determinant
-
-        prod_{i<j} (x_j - x_i)(y_i - y_j) / prod_{i,j} (x_i - y_j),
-
-    which is nonzero: the x are distinct, the y are distinct, and every
-    x_i - y_j is odd.  So every square leading block of W is nonsingular.
-    The report therefore has ``pair_count`` = floor(N/2) pairs and
-    ``zero_modes`` = N mod 2 (the one nondegenerate zero mode at odd
-    order), with no matrix built or factored.
-    """
-    size = _check_index(size, "size")
-    return PairingReport(size, size // 2, size % 2)
 
 
 def near_integer_check(size: int) -> list[NearInteger]:

@@ -53,7 +53,8 @@ def test_traced_attributes_exist(span, module, attribute):
     assert callable(getattr(module, attribute, None)), span
 
 
-def test_traced_run_reports_what_main_reports(monkeypatch):
+@pytest.fixture
+def untraced(monkeypatch):
     # The tracer replaces module attributes and numpy.linalg.eigh for good;
     # re-setting them through monkeypatch restores them afterwards.
     for module in tracer.MODULES:
@@ -61,9 +62,21 @@ def test_traced_run_reports_what_main_reports(monkeypatch):
             if hasattr(module, attribute):
                 monkeypatch.setattr(module, attribute, getattr(module, attribute))
     monkeypatch.setattr(np.linalg, "eigh", np.linalg.eigh)
+
+
+def test_traced_run_reports_what_main_reports(untraced):
     result = tracer.run_cli(["assoc"])
     assert result["code"] == 0
     assert result["report"] == _report(["assoc"])
+
+
+def test_traced_spectrum_pairs_records_its_pairing_spans(untraced):
+    # cli calls spectrum_pairing by its own global name, which the tracer
+    # wraps because it is the object spectra exports.
+    result = tracer.run_cli(["spectrum-pairs"])
+    assert result["code"] == 0
+    names = [span["name"] for span in result["spans"]]
+    assert names.count("spectra.spectrum_pairing") == 2  # default sizes 999,1000
 
 
 @pytest.mark.parametrize("command", checks.DEFAULT_COMMANDS)

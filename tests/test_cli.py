@@ -474,7 +474,8 @@ class TestDenseSizeGuard:
             return rss
 
         size = 10**6
-        imported = peak("-c", "import momtrunc.cli")
+        # The O(N) commands load numpy; importing momtrunc.cli alone does not.
+        imported = peak("-c", "import numpy, momtrunc.cli")
         linear = [("table1", "1,2"), ("diverge", "1,1"), ("p2check", "1,1"), ("tails", "1,2")]
         for command, pairs in linear:
             args = ["-m", "momtrunc.cli", command, "--pairs", pairs, "--sizes", str(size)]
@@ -843,7 +844,7 @@ class TestExitCodes:
             assert run_cli(args + flag) == 2
 
 
-def test_cli_imports_only_the_standard_library_and_numpy():
+def test_cli_imports_only_the_standard_library_and_the_numpy_free_module():
     # Modules the interpreter's site setup preloads are left out by taking
     # the difference with what was loaded before the import.
     code = (
@@ -851,7 +852,7 @@ def test_cli_imports_only_the_standard_library_and_numpy():
         "before = set(sys.modules)\n"
         "import momtrunc.cli\n"
         "for name in sorted(set(sys.modules) - before):\n"
-        "    print(name.partition('.')[0])\n"
+        "    print(name)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -859,8 +860,54 @@ def test_cli_imports_only_the_standard_library_and_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(result.stdout.split())
-    assert {"momtrunc", "numpy"} <= loaded
-    assert loaded - sys.stdlib_module_names <= {"momtrunc", "numpy"}
+    package = {"momtrunc", "momtrunc.cli", "momtrunc.exact"}
+    assert package <= loaded
+    others = {name.partition(".")[0] for name in loaded - package}
+    assert others <= sys.stdlib_module_names
+    assert "numpy" not in others
+
+
+# Runs cli.main on the arguments after -c and prints, as the last line of
+# stderr, every module loaded by the time it exits.
+_MODULES_AT_EXIT = (
+    "import sys\n"
+    "from momtrunc.cli import main\n"
+    "try:\n"
+    "    sys.exit(main(sys.argv[1:]))\n"
+    "finally:\n"
+    "    sys.stderr.write('\\n' + ' '.join(sorted(sys.modules)) + '\\n')\n"
+)
+_LINEAR = {"momtrunc.spectra", "momtrunc.tails"}
+# (arguments, exit code, modules they must not load)
+_LOADS = [
+    (["assoc"], 0, {"numpy"}),
+    (["spectrum-pairs"], 0, {"numpy"}),
+    (["--help"], 0, {"numpy"}),
+    (["table1", "--sizes", "0"], 2, {"numpy"}),
+    (["table1"], 0, _LINEAR),
+    (["p2check"], 0, _LINEAR),
+    (["diverge"], 0, _LINEAR),
+    (["tails"], 0, {"momtrunc.spectra", "momtrunc.products"}),
+    (["table2"], 0, {"momtrunc.products", "momtrunc.tails"}),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, absent", _LOADS, ids=[" ".join(args) for args, _, _ in _LOADS]
+)
+def test_each_command_loads_only_the_modules_it_runs(args, code, absent):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULES_AT_EXIT, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == code, result.stderr
+    loaded = set(result.stderr.splitlines()[-1].split())
+    assert "momtrunc.cli" in loaded
+    assert not loaded & absent
 
 
 def test_cli_adds_no_module_to_the_import_chain():

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 import momtrunc
 from momtrunc import operator, products, spectra, tails
+from momtrunc.exact import _check_index
 from momtrunc.operator import (
     momentum_array,
     momentum_entry,
@@ -254,3 +260,56 @@ def test_package_exports_each_modules_public_names():
         for name in module.__all__:
             assert getattr(momtrunc, name) is getattr(module, name)
     assert "largest_order" not in names
+
+
+def test_package_names_are_unchanged():
+    assert momtrunc.__all__ == [
+        "momentum_entry", "momentum_array", "quadrature_entry", "p2_exact_entry",
+        "p3_naive_entry", "p3_hermitian_entry",
+        "triple_product_sum", "p2_partial_sum", "associativity_gap",
+        "pp2p_partial_sum", "quad_power_entry",
+        "SpectrumReport", "PairingReport", "NearInteger", "eigen_symmetric",
+        "singular_spectra", "squared_momentum", "spectrum_pairing",
+        "near_integer_check", "truncate_after_squaring",
+        "boundary_contribution", "tail_approximation", "tail_approximation_parts",
+        "telescoping_sum", "telescoping_closed_form", "TailEstimate", "tail_estimate",
+        "__version__",
+    ]
+    namespace = {}
+    exec("from momtrunc import *", namespace)
+    assert all(namespace[name] is getattr(momtrunc, name) for name in momtrunc.__all__)
+    assert spectra.spectrum_pairing is momtrunc.spectrum_pairing
+
+
+def test_package_import_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "import momtrunc\n"
+        "print('numpy' in sys.modules)\n"
+        "momtrunc.operator.momentum_array\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize(
+    "value", [1, np.int8(1), np.int32(1), np.int64(1), np.uint64(1)], ids=repr
+)
+def test_check_index_accepts_integers(value):
+    assert _check_index(value) == 1
+    assert type(_check_index(value)) is int
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.bool_(True), 1.0, np.float64(1), "1", None, Fraction(1)],
+    ids=repr,
+)
+def test_check_index_refuses_other_values(value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _check_index(value)
