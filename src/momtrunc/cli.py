@@ -24,9 +24,9 @@ any other error the library raises), reported as one ``momtrunc: error:``
 line.
 
 A command imports the library module it runs only when it runs: ``assoc``
-and ``spectrum-pairs`` run on ``exact`` alone, and they, ``--help`` and a
-flag or config value a reader refuses load no numpy, except under table2,
-whose size limit ``spectra`` computes.
+and ``spectrum-pairs`` run on ``exact`` alone, and they, ``--help`` and
+a value that a reader or the size limit refuses load no numpy.  Each size
+limit is a plain integer; table2's comes from ``exact.largest_order``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Any, Callable, NamedTuple
 
 from .exact import (
     associativity_gap,
+    largest_order,
     p2_exact_entry,
     p3_hermitian_entry,
     spectrum_pairing,
@@ -249,8 +250,6 @@ def _run_p2check(pairs: Pairs, sizes: list[int]) -> Report:
 
 
 def _run_table2(sizes: list[int], delete_tail: int) -> Report:
-    from . import spectra
-
     largest = sizes[-1]
     if delete_tail >= largest:
         default = EXPERIMENTS["table2"].defaults["delete_tail"]
@@ -258,6 +257,8 @@ def _run_table2(sizes: list[int], delete_tail: int) -> Report:
             f"--delete-tail must be < the largest size {largest}, got "
             f"{delete_tail} (it defaults to {default})"
         )
+    from . import spectra
+
     requests = [(size, 0) for size in sizes[:-1]]
     if delete_tail > 0:
         requests.append((largest, delete_tail))
@@ -332,32 +333,20 @@ def _run_spectrum_pairs(sizes: list[int]) -> Report:
     return columns + [("max_pair_gap", ".3e"), ("pairing_ok", "")], rows
 
 
-def _largest_dense_size() -> int:
-    """The largest order whose factorization fits ``_MAX_DENSE_BYTES``."""
-    from . import spectra
-
-    return spectra.largest_order(_MAX_DENSE_BYTES)
-
-
 class Experiment(NamedTuple):
     """One subcommand: its help, report builder, defaults and largest size.
 
     ``defaults`` maps each key the command reads and requires, besides
     ``format`` and ``out``, to its default as flag text; ``run`` takes
     exactly those keys, as their readers type them, as keyword arguments,
-    and ``size_limit`` returns the largest size the command accepts, only
-    when it is asked for (table2's loads ``spectra``).
+    and ``max_size`` is the largest size the command accepts (table2's is
+    set by its memory limit, every other command's by exact float64 labels).
     """
 
     help: str
     run: Callable[..., Report]
     defaults: dict[str, str]
-    size_limit: Callable[[], int] = lambda: _MAX_LABEL
-
-    @property
-    def max_size(self) -> int:
-        """The largest size the command accepts."""
-        return self.size_limit()
+    max_size: int = _MAX_LABEL
 
     @property
     def keys(self) -> list[str]:
@@ -375,7 +364,7 @@ EXPERIMENTS = {
         "eigenvalues of the squared truncation, complete and repaired",
         _run_table2,
         {"sizes": "999,1000", "delete_tail": "1"},
-        size_limit=_largest_dense_size,
+        max_size=largest_order(_MAX_DENSE_BYTES),
     ),
     "p2check": Experiment(
         "partial sums of the square's entries against m n delta_mn",

@@ -1,10 +1,12 @@
 """The scalar closed forms, which need no matrix and load no numpy.
 
 The entries of the momentum matrix and of its exact square and cube, the
-two one-sided products with the exact square, and the opposite-pair
-structure of the truncation's spectrum, which Cauchy's determinant formula
-proves.  ``assoc`` and ``spectrum-pairs`` run on this module alone;
-``operator``, ``products`` and ``spectra`` export its names as their own.
+two one-sided products with the exact square, the opposite-pair structure
+of the truncation's spectrum, which Cauchy's determinant formula proves,
+and the largest order whose block factorization fits a byte budget.
+``assoc`` and ``spectrum-pairs`` run on this module alone, and ``cli``
+takes table2's size limit from it; ``operator``, ``products`` and
+``spectra`` export its names as their own.
 """
 
 from __future__ import annotations
@@ -12,6 +14,16 @@ from __future__ import annotations
 import math
 import numbers
 from typing import NamedTuple
+
+# Peak float64 arrays of ceil(N/2)^2 entries live while one block is factored:
+# five while eigh runs, the Gram matrix, eigh's copy of it, its workspace (two
+# arrays' worth) and the eigenvectors, W being let go until eigh returns,
+# and four after it (measured for table2 with delete-tail 3: 5.6 at N = 2000
+# and 5.3 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a
+# margin).  Blocks derived from it add only spectra._ROWS x ceil(N/2) work
+# arrays.  largest_order turns a byte budget into the largest order this
+# count admits.
+_BLOCK_ARRAYS = 12
 
 
 def _check_index(value: int, name: str = "index", least: int = 1) -> int:
@@ -133,3 +145,13 @@ def spectrum_pairing(size: int) -> PairingReport:
     """
     size = _check_index(size, "size")
     return PairingReport(size, size // 2, size % 2)
+
+
+def largest_order(budget: int) -> int:
+    """Largest order whose block factorization fits ``budget`` bytes.
+
+    Order N factors W(ceil(N/2), floor(N/2)) while ``_BLOCK_ARRAYS`` float64
+    arrays of ceil(N/2)^2 entries may live, so ceil(N/2) is at most
+    isqrt(budget / (8 _BLOCK_ARRAYS)) and N at most twice that.
+    """
+    return 2 * math.isqrt(budget // (8 * _BLOCK_ARRAYS))

@@ -52,10 +52,11 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _square_column(n: int, size: int) -> np.ndarray:
-    """Column n of the truncated square B = -A A on its nonzero rows, in O(size).
+def _square_columns(size: int, *labels: int) -> list[np.ndarray]:
+    """Columns n of the truncated square B = -A A on their nonzero rows, in O(size).
 
-    Those rows are the labels r <= size with r + n even, ascending from
+    The labels n share one parity, and so the prefix sums below.  Column n's
+    nonzero rows are the labels r <= size with r + n even, ascending from
     2 - n % 2; on the others B_rn is exactly zero.  With middle labels s of
     parity opposite to n, up to the largest such s_N <= size, partial
     fractions give for r != n
@@ -68,7 +69,8 @@ def _square_column(n: int, size: int) -> np.ndarray:
     terms cancel between r and n.  The diagonal B_nn = sum_s a_ns^2 is summed
     directly.
     """
-    s_top = size if (size + n) % 2 == 1 else size - 1
+    parity = labels[0] % 2
+    s_top = size if (size + parity) % 2 == 1 else size - 1
     # Step x adds 1/k with k the odd one of s_top + 1 - x and s_top + x.
     steps = np.arange(1.0, size + 1.0)
     below = slice((s_top + 1) % 2, None, 2)
@@ -76,15 +78,17 @@ def _square_column(n: int, size: int) -> np.ndarray:
     steps[s_top % 2 :: 2] += s_top
     d = _prefix_sums(np.reciprocal(steps, out=steps))  # d[x] = D(x)
     del steps  # peak memory stays at a few columns
-    r = np.arange(2 - n % 2, size + 1, 2.0)
+    r = np.arange(2 - parity, size + 1, 2.0)
     with np.errstate(invalid="ignore"):  # 0/0 at r = n, replaced below
-        column = (
-            8.0 * r * n * (r * d[2 - n % 2 :: 2] - n * d[n])
+        columns = [
+            8.0 * r * n * (r * d[2 - parity :: 2] - n * d[n])
             / (math.pi**2 * (n * n - r * r))
-        )
+            for n in labels
+        ]
     del d, r  # before the diagonal's partners are built
-    column[(n - 1) // 2] = _fsum(_closed_form(n, _partners(n, size)) ** 2)
-    return column
+    for n, column in zip(labels, columns):
+        column[(n - 1) // 2] = _fsum(_closed_form(n, _partners(n, size)) ** 2)
+    return columns
 
 
 def _check_labels(m: int, n: int, size: int) -> tuple[int, int, int]:
@@ -107,7 +111,7 @@ def triple_product_sum(m: int, n: int, size: int) -> float:
         B_rn = -sum_{s<=size} a_rs a_sn,
 
     with column n of the truncated square B taken in closed form (see
-    :func:`_square_column`), in O(size) time and memory, so sizes up to
+    :func:`_square_columns`), in O(size) time and memory, so sizes up to
     about 10^7 are practical.  Each s-sum is a prefix sum of reciprocals of
     odd integers taken outward from the cutoff, with exactly rounded chunk
     offsets; the r-sum is one exactly rounded ``math.fsum``.  Rounding
@@ -129,7 +133,7 @@ def triple_product_sum(m: int, n: int, size: int) -> float:
     if (m + n) % 2 == 0:
         return -0.0
     # The rows where column n is nonzero are the partners of m.
-    column = _square_column(n, size)
+    (column,) = _square_columns(size, n)
     return _fsum(_closed_form(m, _partners(m, size)) * column)
 
 
@@ -181,7 +185,7 @@ def quad_power_entry(m: int, n: int, size: int) -> float:
 
         (A^4)_mn = (B B)_mn = sum_{s<=size} B_sm B_sn,
 
-    the dot product of two closed-form columns of B (:func:`_square_column`)
+    the dot product of two closed-form columns of B (:func:`_square_columns`)
     summed by one exactly rounded ``math.fsum``, in O(size) time and memory.
     Rounding leaves a few eps times sum_s |B_sm B_sn|, large beside the
     entry only where that sum cancels.  Unlike the exact fourth power, whose
@@ -195,9 +199,8 @@ def quad_power_entry(m: int, n: int, size: int) -> float:
     m, n, size = _check_labels(m, n, size)
     if (m + n) % 2 == 1:
         return 0.0
-    column_m = _square_column(m, size)
-    column_n = column_m if m == n else _square_column(n, size)
-    return _fsum(column_m * column_n)
+    columns = _square_columns(size, *{m, n})  # one column when m == n
+    return _fsum(columns[0] * columns[-1])
 
 
 def _loglog_slope(xs: list[float], ys: list[float]) -> float:

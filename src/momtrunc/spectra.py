@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import PairingReport, _check_index, spectrum_pairing
+from .exact import _BLOCK_ARRAYS, largest_order  # table2's memory model
 from .operator import _w_block
 
 __all__ = [
@@ -49,14 +50,6 @@ _SYMMETRY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 # Relative gap below which adjacent eigenvalues share a degeneracy group.
 _GROUPING_TOL = 1e-6
-# Peak float64 arrays of ceil(N/2)^2 entries live while one block is factored:
-# five while eigh runs, the Gram matrix, eigh's copy of it, its workspace (two
-# arrays' worth) and the eigenvectors, W being let go until eigh returns,
-# and four after it (measured for table2 with delete-tail 3: 5.6 at N = 2000
-# and 5.3 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a
-# margin).  Blocks derived from it add only _ROWS x ceil(N/2) work arrays.
-# largest_order turns a byte budget into the largest order this count admits.
-_BLOCK_ARRAYS = 12
 
 
 class SpectrumReport(NamedTuple):
@@ -428,16 +421,6 @@ def singular_spectra(requests: list[tuple[int, int]]) -> list[np.ndarray]:
         zeros = np.zeros(keep - odd.size - even.size)
         spectra.append(np.sort(np.concatenate([zeros, odd, even])))
     return spectra
-
-
-def largest_order(budget: int) -> int:
-    """Largest order whose block factorization fits ``budget`` bytes.
-
-    Order N factors W(ceil(N/2), floor(N/2)) while ``_BLOCK_ARRAYS`` float64
-    arrays of ceil(N/2)^2 entries may live, so ceil(N/2) is at most
-    isqrt(budget / (8 _BLOCK_ARRAYS)) and N at most twice that.
-    """
-    return 2 * math.isqrt(budget // (8 * _BLOCK_ARRAYS))
 
 
 def squared_momentum(size: int) -> np.ndarray:

@@ -428,6 +428,7 @@ class TestDenseSizeGuard:
     def test_limit_admits_sizes_up_to_13376(self):
         assert spectra.largest_order(cli._MAX_DENSE_BYTES) == 13376
         assert cli.EXPERIMENTS["table2"].max_size == 13376
+        assert type(cli.EXPERIMENTS["table2"].max_size) is int
         # 12 float64 arrays of ceil(N/2)^2 entries: 96 bytes per entry.
         assert 96 * 6688**2 <= cli._MAX_DENSE_BYTES < 96 * 6689**2
 
@@ -884,6 +885,9 @@ _LOADS = [
     (["spectrum-pairs"], 0, {"numpy"}),
     (["--help"], 0, {"numpy"}),
     (["table1", "--sizes", "0"], 2, {"numpy"}),
+    (["table2", "--sizes", "99999"], 2, {"numpy"}),
+    (["table2", "--sizes", "abc"], 2, {"numpy"}),
+    (["table2", "--sizes", "3", "--delete-tail", "3"], 2, {"numpy"}),
     (["table1"], 0, _LINEAR),
     (["p2check"], 0, _LINEAR),
     (["diverge"], 0, _LINEAR),

@@ -298,6 +298,29 @@ def test_package_import_loads_no_numpy():
 
 
 @pytest.mark.parametrize(
+    "name, absent",
+    [
+        ("momentum_entry", {"numpy", "momtrunc.operator"}),
+        ("spectrum_pairing", {"numpy", "momtrunc.spectra"}),
+        ("triple_product_sum", {"momtrunc.spectra", "momtrunc.tails"}),
+        ("boundary_contribution", {"momtrunc.products", "momtrunc.spectra"}),
+    ],
+)
+def test_package_name_loads_only_its_own_module(name, absent):
+    # A name exact defines loads no numpy; any other loads its own module
+    # and what that module imports.
+    code = f"import sys\nfrom momtrunc import {name}\nprint(*sys.modules)\n"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "momtrunc.exact" in loaded
+    assert not loaded & absent
+
+
+@pytest.mark.parametrize(
     "value", [1, np.int8(1), np.int32(1), np.int64(1), np.uint64(1)], ids=repr
 )
 def test_check_index_accepts_integers(value):

@@ -253,6 +253,54 @@ labels_and_size = st.integers(1, 300).flatmap(
 )
 
 
+def one_square_column(n: int, size: int) -> np.ndarray:
+    """products' square column as it was built one label at a time, each
+    with its own prefix array: the reference the shared prefix must match."""
+    s_top = size if (size + n) % 2 == 1 else size - 1
+    steps = np.arange(1.0, size + 1.0)
+    below = slice((s_top + 1) % 2, None, 2)
+    steps[below] = s_top + 1.0 - steps[below]
+    steps[s_top % 2 :: 2] += s_top
+    d = products._prefix_sums(np.reciprocal(steps, out=steps))
+    r = np.arange(2 - n % 2, size + 1, 2.0)
+    with np.errstate(invalid="ignore"):
+        column = (
+            8.0 * r * n * (r * d[2 - n % 2 :: 2] - n * d[n])
+            / (math.pi**2 * (n * n - r * r))
+        )
+    partners = operator._partners(n, size)
+    column[(n - 1) // 2] = operator._fsum(operator._closed_form(n, partners) ** 2)
+    return column
+
+
+class TestSharedPrefix:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 30_000).flatmap(
+            lambda size: st.tuples(
+                st.integers(1, min(size, 300)), st.integers(1, min(size, 300)), st.just(size)
+            )
+        )
+    )
+    @example((1, 1, 2000))
+    @example((2, 4, 999))
+    @example((1, 3, 3))
+    @example((1, 3, 100_001))
+    def test_products_keep_the_bits_of_one_prefix_per_column(self, case):
+        # quad_power_entry's two same-parity columns share one prefix array;
+        # the fourth power and the triple product keep every bit of the form
+        # that built a prefix array per column.
+        m, n, size = case
+        column_n = one_square_column(n, size)
+        if (m + n) % 2 == 0:
+            expected = operator._fsum(one_square_column(m, size) * column_n)
+            assert quad_power_entry(m, n, size).hex() == expected.hex()
+        else:
+            row = operator._closed_form(m, operator._partners(m, size))
+            expected = operator._fsum(row * column_n)
+            assert triple_product_sum(m, n, size).hex() == expected.hex()
+
+
 class TestClosedFormAgainstDense:
     @settings(deadline=None)
     @given(labels_and_size)
@@ -283,7 +331,7 @@ class TestClosedFormAgainstDense:
         _, n, size = case
         square = squared_momentum(size)
         rows = np.arange(2 - n % 2, size + 1, 2) - 1  # r + n even
-        error = np.abs(products._square_column(n, size) - square[rows, n - 1]).max()
+        error = np.abs(products._square_columns(size, n)[0] - square[rows, n - 1]).max()
         assert error <= 1e-13 * np.abs(square).max()
         assert not np.delete(square[:, n - 1], rows).any()
 
@@ -297,7 +345,7 @@ class TestClosedFormAgainstDense:
         a = momentum_array(size)
         columns = np.zeros((2, size))
         for column, label in zip(columns, (m, n)):
-            column[1 - label % 2 :: 2] = products._square_column(label, size)
+            column[1 - label % 2 :: 2] = products._square_columns(size, label)[0]
 
         def full(x, y):
             return math.fsum((x * y).tolist()).hex()
