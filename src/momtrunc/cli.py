@@ -12,7 +12,7 @@ the same keys, as flag text or JSON values.  One reader per key, and the
 size limit, check the registry's defaults (flag text), the config file and
 the flags in turn; later ones win, and a config ``null`` means stdout for
 ``out``.  A report builder receives exactly its record's keys; one cell loop
-passes every (m, n, size) cell through the library's own checks first.
+passes every (m, n, size) cell through ``exact``'s cell checks first.
 
 Exit codes: 0 success; 2 usage error (bad flags or config, inputs an
 experiment does not accept, or a size above the largest one the command
@@ -23,10 +23,10 @@ computation, a failed eigensolve residual check, running out of memory, or
 any other error the library raises), reported as one ``momtrunc: error:``
 line.
 
-A command imports the library module it runs only when it runs: ``assoc``
-and ``spectrum-pairs`` run on ``exact`` alone, and they, ``--help`` and
-a value that a reader or the size limit refuses load no numpy.  Each size
-limit is a plain integer; table2's comes from ``exact.largest_order``.
+A command imports the library module it runs only when it runs, after its
+cells pass ``exact``'s checks: ``assoc`` and ``spectrum-pairs`` run on
+``exact`` alone, and they, ``--help`` and every usage error load no numpy.
+Each size limit is a plain integer, table2's from ``exact.largest_order``.
 """
 
 from __future__ import annotations
@@ -38,13 +38,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .exact import (
-    associativity_gap,
-    largest_order,
-    p2_exact_entry,
-    p3_hermitian_entry,
-    spectrum_pairing,
-)
+from .exact import _check_boundary, _check_labels, _check_middle_sum, spectrum_pairing
+from .exact import associativity_gap, largest_order, p2_exact_entry, p3_hermitian_entry
 
 __all__ = ["main"]
 
@@ -205,13 +200,12 @@ Pairs = list[tuple[int, int]]
 _LABELS: Columns = [("m", ""), ("n", ""), ("size", "")]
 
 
-def _grid(
-    pairs: Pairs, sizes: list[int], checks: list[Callable], cells: Callable
-) -> list[Row]:
-    """Rows of m, n, size and ``*cells(m, n, size)``, pair by pair, size by size.
+def _grid(pairs: Pairs, sizes: list[int], *checks: Callable) -> list[tuple]:
+    """The (m, n, size) cells, pair by pair, size by size, once ``checks`` pass.
 
-    First each of the library's ``checks`` runs over every cell, one check at
-    a time; the first cell one refuses is a usage error that names it.
+    Each check, one of ``exact``'s cell checks, runs over every cell in turn;
+    the first cell one refuses is a usage error that names it.  Nothing here
+    loads numpy: a runner imports its library module after this returns.
     """
     grid = [(m, n, size) for m, n in pairs for size in sizes]
     for check in checks:
@@ -220,33 +214,34 @@ def _grid(
                 check(m, n, size)
             except ValueError as exc:
                 raise UsageError(f"({m},{n}) at size {size}: {exc}") from None
-    return [[*cell, *cells(*cell)] for cell in grid]
+    return grid
 
 
-def _against(partial: Callable, limit: Callable) -> Callable:
-    """The cell function of partial(m, n, size), limit(m, n) and their |error|."""
-
-    def cells(m: int, n: int, size: int) -> tuple[float, float, float]:
+def _against(grid: list[tuple], partial: Callable, limit: Callable) -> list[Row]:
+    """Rows of each cell, partial(m, n, size), limit(m, n) and their |error|."""
+    rows = []
+    for m, n, size in grid:
         value, target = partial(m, n, size), limit(m, n)
-        return value, target, abs(value - target)
-
-    return cells
+        rows.append([m, n, size, value, target, abs(value - target)])
+    return rows
 
 
 def _run_table1(pairs: Pairs, sizes: list[int]) -> Report:
+    grid = _grid(pairs, sizes, _check_labels)
     from . import products
 
-    cells = _against(products.triple_product_sum, p3_hermitian_entry)
+    rows = _against(grid, products.triple_product_sum, p3_hermitian_entry)
     columns = [("triple_product", ".6g"), ("target", ".6g"), ("abs_error", ".3e")]
-    return _LABELS + columns, _grid(pairs, sizes, [products._check_labels], cells)
+    return _LABELS + columns, rows
 
 
 def _run_p2check(pairs: Pairs, sizes: list[int]) -> Report:
+    grid = _grid(pairs, sizes)
     from . import products
 
-    cells = _against(products.p2_partial_sum, p2_exact_entry)
+    rows = _against(grid, products.p2_partial_sum, p2_exact_entry)
     columns = [("partial_sum", ".10g"), ("exact", ".6g"), ("abs_error", ".3e")]
-    return _LABELS + columns, _grid(pairs, sizes, [], cells)
+    return _LABELS + columns, rows
 
 
 def _run_table2(sizes: list[int], delete_tail: int) -> Report:
@@ -287,15 +282,14 @@ def _run_assoc(pairs: Pairs) -> Report:
 
 
 def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
+    grid = _grid(pairs, sizes, _check_middle_sum, _check_labels)
     from . import products
 
-    def cells(m: int, n: int, size: int) -> tuple[float, float, float]:
-        fourth_power = products.quad_power_entry(m, n, size)
-        exact = p2_exact_entry(m, n) ** 2
-        return fourth_power, exact, products.pp2p_partial_sum(m, n, size)
-
-    checks = [products._check_middle_sum, products._check_labels]
-    rows = _grid(pairs, sizes, checks, cells)
+    rows = [
+        [m, n, size, products.quad_power_entry(m, n, size),
+         p2_exact_entry(m, n) ** 2, products.pp2p_partial_sum(m, n, size)]
+        for m, n, size in grid
+    ]
     # Each pair's rows end with the least-squares slope of
     # log10 |fourth power - exact| against log10 size over that pair's rows,
     # fitted in closed form with exactly rounded sums (no LAPACK call).
@@ -315,10 +309,11 @@ def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
 
 
 def _run_tails(pairs: Pairs, sizes: list[int]) -> Report:
+    grid = _grid(pairs, sizes, _check_boundary)
     from . import tails
 
     # A TailEstimate's fields are the last four columns, in order.
-    rows = _grid(pairs, sizes, [tails._check_boundary], tails.tail_estimate)
+    rows = [[*cell, *tails.tail_estimate(*cell)] for cell in grid]
     columns = _LABELS + [
         ("k_max", ""), ("exact", ".6e"), ("near_boundary", ".6e"), ("telescoped", ".6e")
     ]

@@ -3,10 +3,12 @@
 The entries of the momentum matrix and of its exact square and cube, the
 two one-sided products with the exact square, the opposite-pair structure
 of the truncation's spectrum, which Cauchy's determinant formula proves,
-and the largest order whose block factorization fits a byte budget.
+the largest order whose block factorization fits a byte budget, and the
+checks of the (m, n, size) cells each truncated sum is defined on.
 ``assoc`` and ``spectrum-pairs`` run on this module alone, and ``cli``
-takes table2's size limit from it; ``operator``, ``products`` and
-``spectra`` export its names as their own.
+takes table2's size limit and every cell check from it, so no refused cell
+loads numpy; ``operator``, ``products`` and ``spectra`` export its names as
+their own.
 """
 
 from __future__ import annotations
@@ -33,6 +35,41 @@ def _check_index(value: int, name: str = "index", least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _check_cell(m: int, n: int, size: int, name: str = "size") -> tuple[int, int, int]:
+    """Labels m, n and the cutoff (called ``name``), each an integer >= 1."""
+    return _check_index(m, "m"), _check_index(n, "n"), _check_index(size, name)
+
+
+def _check_labels(m: int, n: int, size: int) -> tuple[int, int, int]:
+    """A square-cutoff cell: the cutoff holds both labels."""
+    m, n, size = _check_cell(m, n, size)
+    if size < max(m, n):
+        raise ValueError(f"size must be >= max(m, n) = {max(m, n)}, got {size}")
+    return m, n, size
+
+
+def _check_middle_sum(m: int, n: int, s_max: int) -> tuple[int, int, int]:
+    """A middle-index cell: m + n even, so m and n have the same partners s."""
+    m, n, s_max = _check_cell(m, n, s_max, "s_max")
+    if (m + n) % 2 == 1:
+        raise ValueError(f"m + n must be even, got m={m}, n={n}")
+    return m, n, s_max
+
+
+def _check_boundary(m: int, n: int, size: int) -> tuple[int, int, int]:
+    """A boundary-tail cell: odd m, even n, even size >= 10 (m + n)."""
+    m, n, size = _check_cell(m, n, size)
+    if m % 2 == 0:
+        raise ValueError(f"m must be odd, got {m}")
+    if n % 2 == 1:
+        raise ValueError(f"n must be even, got {n}")
+    if size % 2 == 1:
+        raise ValueError(f"size must be even, got {size}")
+    if size < 10 * (m + n):
+        raise ValueError(f"size must be >= 10 * (m + n) = {10 * (m + n)}, got {size}")
+    return m, n, size
 
 
 def _closed_form(m, n):

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import (
+    _check_cell,
     _check_index,
     _closed_form,
     momentum_entry,
@@ -113,9 +114,7 @@ def quadrature_entry(m: int, n: int, derivative_order: int) -> tuple[float, floa
     ``real_part + i * i_factored_part``.  This path shares no code with the
     closed-form entry functions it is used to validate.
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    derivative_order = _check_index(derivative_order, "derivative_order")
+    m, n, derivative_order = _check_cell(m, n, derivative_order, "derivative_order")
     if derivative_order > 3:
         raise ValueError(f"derivative_order must be 1, 2 or 3, got {derivative_order}")
     if max(m, n) > _QUAD_MAX_LABEL:

@@ -16,7 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exact import _check_index, _closed_form, associativity_gap
+from .exact import _check_cell, _check_labels, _check_middle_sum
+from .exact import _closed_form, associativity_gap
 from .operator import _fsum, _partners
 
 __all__ = [
@@ -91,15 +92,6 @@ def _square_columns(size: int, *labels: int) -> list[np.ndarray]:
     return columns
 
 
-def _check_labels(m: int, n: int, size: int) -> tuple[int, int, int]:
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    size = _check_index(size, "size")
-    if size < max(m, n):
-        raise ValueError(f"size must be >= max(m, n) = {max(m, n)}, got {size}")
-    return m, n, size
-
-
 def triple_product_sum(m: int, n: int, size: int) -> float:
     """Square-cutoff triple product T = -(A^3)_mn summed over r, s = 1..size.
 
@@ -143,23 +135,12 @@ def p2_partial_sum(m: int, n: int, size: int) -> float:
     Converges to m n on the diagonal and to 0 off it, with error O(1/size).
     Terms ascend in s and are summed exactly (math.fsum).
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    size = _check_index(size, "size")
+    m, n, size = _check_cell(m, n, size)
     if (m + n) % 2 == 1:
         return 0.0  # every term a_ms a_ns is exactly zero
     # a_sn = -a_ns, so -a_ms a_sn = a_ms a_ns.
     s = _partners(m, size)
     return _fsum(_closed_form(m, s) * _closed_form(n, s))
-
-
-def _check_middle_sum(m: int, n: int, s_max: int) -> tuple[int, int, int]:
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    s_max = _check_index(s_max, "s_max")
-    if (m + n) % 2 == 1:
-        raise ValueError(f"m + n must be even, got m={m}, n={n}")
-    return m, n, s_max
 
 
 def pp2p_partial_sum(m: int, n: int, s_max: int) -> float:

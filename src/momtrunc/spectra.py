@@ -31,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import PairingReport, _check_index, spectrum_pairing
-from .exact import _BLOCK_ARRAYS, largest_order  # table2's memory model
 from .operator import _w_block
 
 __all__ = [

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import _check_index, _fsum, _partners
+from .exact import _check_boundary, _check_index
+from .operator import _fsum, _partners
 
 __all__ = [
     "boundary_contribution",
@@ -24,21 +25,6 @@ __all__ = [
     "TailEstimate",
     "tail_estimate",
 ]
-
-
-def _check_boundary(m: int, n: int, size: int) -> tuple[int, int, int]:
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    size = _check_index(size, "size")
-    if m % 2 == 0:
-        raise ValueError(f"m must be odd, got {m}")
-    if n % 2 == 1:
-        raise ValueError(f"n must be even, got {n}")
-    if size % 2 == 1:
-        raise ValueError(f"size must be even, got {size}")
-    if size < 10 * (m + n):
-        raise ValueError(f"size must be >= 10 * (m + n) = {10 * (m + n)}, got {size}")
-    return m, n, size
 
 
 def boundary_contribution(m: int, n: int, size: int) -> float:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from momtrunc import cli, operator, products, spectra, tails
+from momtrunc import cli, exact, operator, products, spectra, tails
 from momtrunc.cli import main
 
 
@@ -420,13 +420,13 @@ class TestHelp:
 class TestDenseSizeGuard:
     def test_estimate_is_that_of_the_largest_size(self):
         # Orders 999 and 1000 both factor a 500 x 500 block: 96 * 500^2 bytes.
-        assert spectra.largest_order(96 * 500**2) == 1000
-        assert spectra.largest_order(96 * 500**2 - 1) == 998
-        assert spectra.largest_order(96 * 1000**2) == 2000
-        assert spectra.largest_order(96 * 1000**2 - 1) == 1998
+        assert exact.largest_order(96 * 500**2) == 1000
+        assert exact.largest_order(96 * 500**2 - 1) == 998
+        assert exact.largest_order(96 * 1000**2) == 2000
+        assert exact.largest_order(96 * 1000**2 - 1) == 1998
 
     def test_limit_admits_sizes_up_to_13376(self):
-        assert spectra.largest_order(cli._MAX_DENSE_BYTES) == 13376
+        assert exact.largest_order(cli._MAX_DENSE_BYTES) == 13376
         assert cli.EXPERIMENTS["table2"].max_size == 13376
         assert type(cli.EXPERIMENTS["table2"].max_size) is int
         # 12 float64 arrays of ceil(N/2)^2 entries: 96 bytes per entry.
@@ -888,6 +888,9 @@ _LOADS = [
     (["table2", "--sizes", "99999"], 2, {"numpy"}),
     (["table2", "--sizes", "abc"], 2, {"numpy"}),
     (["table2", "--sizes", "3", "--delete-tail", "3"], 2, {"numpy"}),
+    (["table1", "--pairs", "1,5", "--sizes", "3"], 2, {"numpy"}),
+    (["diverge", "--pairs", "1,2"], 2, {"numpy"}),
+    (["tails", "--pairs", "1,1", "--sizes", "10"], 2, {"numpy"}),
     (["table1"], 0, _LINEAR),
     (["p2check"], 0, _LINEAR),
     (["diverge"], 0, _LINEAR),
