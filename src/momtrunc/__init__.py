@@ -21,7 +21,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The public names of operator, products, spectra and tails, in that order.
+# The one list of public names: each of operator, products, spectra and
+# tails takes its row as its __all__, and __all__ below keeps this order.
 _EXPORTS = {
     "operator": ["momentum_entry", "momentum_array", "quadrature_entry",
                  "p2_exact_entry", "p3_naive_entry", "p3_hermitian_entry"],

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -281,6 +282,21 @@ def _run_assoc(pairs: Pairs) -> Report:
     return _LABELS[:2] + columns, rows
 
 
+def _loglog_slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of log10 ys against log10 xs: a divergence's rate.
+
+    In closed form, fsum(du dv) / fsum(du^2) with u, v the logs less their
+    means; every sum is exactly rounded, so the slope is within about one
+    rounding of the exact fit of the rounded logs.
+    """
+    u = [math.log10(x) for x in xs]
+    v = [math.log10(y) for y in ys]
+    u_mean, v_mean = math.fsum(u) / len(u), math.fsum(v) / len(v)
+    du = [x - u_mean for x in u]
+    numerator = math.fsum(d * (y - v_mean) for d, y in zip(du, v))
+    return numerator / math.fsum(d * d for d in du)
+
+
 def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
     grid = _grid(pairs, sizes, _check_middle_sum, _check_labels)
     from . import products
@@ -298,7 +314,7 @@ def _run_diverge(pairs: Pairs, sizes: list[int]) -> Report:
         deviations = [abs(value - exact) for *_, value, exact, _ in block]
         slope = None
         if len(sizes) >= 2 and all(d > 0 for d in deviations):
-            slope = products._loglog_slope(sizes, deviations)
+            slope = _loglog_slope(sizes, deviations)
         for row in block:
             row.append(slope)
     columns = _LABELS + [

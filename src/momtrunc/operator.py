@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .exact import (
     _check_cell,
     _check_index,
@@ -30,14 +31,7 @@ from .exact import (
     p3_naive_entry,
 )
 
-__all__ = [
-    "momentum_entry",
-    "momentum_array",
-    "quadrature_entry",
-    "p2_exact_entry",
-    "p3_naive_entry",
-    "p3_hermitian_entry",
-]
+__all__ = _EXPORTS["operator"]
 
 
 def _fsum(terms: np.ndarray) -> float:

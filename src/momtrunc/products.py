@@ -16,17 +16,12 @@ from itertools import chain
 
 import numpy as np
 
+from . import _EXPORTS
 from .exact import _check_cell, _check_labels, _check_middle_sum
 from .exact import _closed_form, associativity_gap
 from .operator import _fsum, _partners
 
-__all__ = [
-    "triple_product_sum",
-    "p2_partial_sum",
-    "associativity_gap",
-    "pp2p_partial_sum",
-    "quad_power_entry",
-]
+__all__ = _EXPORTS["products"]
 
 
 # Chunk length of the prefix sums behind a square column: each chunk is a
@@ -182,18 +177,3 @@ def quad_power_entry(m: int, n: int, size: int) -> float:
         return 0.0
     columns = _square_columns(size, *{m, n})  # one column when m == n
     return _fsum(columns[0] * columns[-1])
-
-
-def _loglog_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of log10 ys against log10 xs: a divergence's rate.
-
-    In closed form, fsum(du dv) / fsum(du^2) with u, v the logs less their
-    means; every sum is exactly rounded, so the slope is within about one
-    rounding of the exact fit of the rounded logs.
-    """
-    u = [math.log10(x) for x in xs]
-    v = [math.log10(y) for y in ys]
-    u_mean, v_mean = math.fsum(u) / len(u), math.fsum(v) / len(v)
-    du = [x - u_mean for x in u]
-    numerator = math.fsum(d * (y - v_mean) for d, y in zip(du, v))
-    return numerator / math.fsum(d * d for d in du)

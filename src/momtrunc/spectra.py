@@ -30,20 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .exact import PairingReport, _check_index, spectrum_pairing
 from .operator import _w_block
 
-__all__ = [
-    "SpectrumReport",
-    "PairingReport",
-    "NearInteger",
-    "eigen_symmetric",
-    "singular_spectra",
-    "squared_momentum",
-    "spectrum_pairing",
-    "near_integer_check",
-    "truncate_after_squaring",
-]
+__all__ = _EXPORTS["spectra"]
 
 _SYMMETRY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8

@@ -13,18 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .exact import _check_boundary, _check_index
 from .operator import _fsum, _partners
 
-__all__ = [
-    "boundary_contribution",
-    "tail_approximation",
-    "tail_approximation_parts",
-    "telescoping_sum",
-    "telescoping_closed_form",
-    "TailEstimate",
-    "tail_estimate",
-]
+__all__ = _EXPORTS["tails"]
 
 
 def boundary_contribution(m: int, n: int, size: int) -> float:

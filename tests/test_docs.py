@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 import shlex
@@ -43,10 +44,25 @@ def test_cli_block_runs_as_written(tmp_path):
         assert main([*args, "--out", str(tmp_path / f"{i}.out")]) == 0, line
 
 
+def _without_imports(path: Path) -> str:
+    # The module's text with its import statements and __all__ blanked out:
+    # naming a function there does not call it.
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        exported = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        )
+        if exported or isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
 def test_every_public_function_has_a_caller():
-    # Each name in momtrunc.__all__ or momtrunc.cli.__all__ is named in another
-    # src/momtrunc module, the acceptance suite, the benchmark or README's
-    # Library block; classes and __version__ are exempt.
+    # Each name in momtrunc.__all__ or momtrunc.cli.__all__ is named outside
+    # the imports and __all__ of another src/momtrunc module (not __init__,
+    # which lists every public name), in the acceptance suite, the benchmark
+    # or README's Library block; classes and __version__ are exempt.
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     elsewhere = [
         library.split("\n## ", 1)[0],
@@ -57,7 +73,10 @@ def test_every_public_function_has_a_caller():
             if path.is_file() and "__pycache__" not in path.parts
         ),
     ]
-    modules = sorted((ROOT / "src" / "momtrunc").glob("*.py"))
+    modules = [
+        path for path in sorted((ROOT / "src" / "momtrunc").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
     public = [(momtrunc, name) for name in momtrunc.__all__]
     public += [(cli, name) for name in cli.__all__]
     caller_less = []
@@ -67,7 +86,7 @@ def test_every_public_function_has_a_caller():
             continue
         own = Path(inspect.getfile(function)).resolve()
         others = [path for path in modules if path.resolve() != own]
-        texts = elsewhere + [path.read_text(encoding="utf-8") for path in others]
+        texts = elsewhere + [_without_imports(path) for path in others]
         if not any(re.search(rf"\b{name}\b", text) for text in texts):
             caller_less.append(name)
     assert caller_less == []
