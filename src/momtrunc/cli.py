@@ -26,7 +26,7 @@ line.
 A command imports the library module it runs only when it runs, after its
 cells pass ``exact``'s checks: ``assoc`` and ``spectrum-pairs`` run on
 ``exact`` alone, and they, ``--help`` and every usage error load no numpy.
-Each size limit is a plain integer, table2's from ``exact.largest_order``.
+Both size limits are plain integers that ``exact`` states.
 """
 
 from __future__ import annotations
@@ -39,23 +39,15 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .exact import _check_boundary, _check_labels, _check_middle_sum, spectrum_pairing
-from .exact import associativity_gap, largest_order, p2_exact_entry, p3_hermitian_entry
+from .exact import _MAX_FACTORED_ORDER, _MAX_LABEL, _check_boundary, _check_labels
+from .exact import _check_middle_sum, associativity_gap, p2_exact_entry
+from .exact import p3_hermitian_entry, spectrum_pairing
 
 __all__ = ["main"]
 
 
 class UsageError(ValueError):
     """Invalid flag or config-file value; maps to exit code 2."""
-
-
-# Memory limit that sets table2's largest accepted size (max_size in
-# EXPERIMENTS), checked before anything is allocated (see _check_size).
-_MAX_DENSE_BYTES = 4 * 2**30
-# Largest pair label, and the largest size every other command accepts: up
-# to it m^2 <= 2^52 is exact in float64, so every closed-form evaluation of
-# a_mn agrees bit for bit.
-_MAX_LABEL = 2**26
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -375,7 +367,7 @@ EXPERIMENTS = {
         "eigenvalues of the squared truncation, complete and repaired",
         _run_table2,
         {"sizes": "999,1000", "delete_tail": "1"},
-        max_size=largest_order(_MAX_DENSE_BYTES),
+        max_size=_MAX_FACTORED_ORDER,
     ),
     "p2check": Experiment(
         "partial sums of the square's entries against m n delta_mn",

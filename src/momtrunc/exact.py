@@ -3,12 +3,11 @@
 The entries of the momentum matrix and of its exact square and cube, the
 two one-sided products with the exact square, the opposite-pair structure
 of the truncation's spectrum, which Cauchy's determinant formula proves,
-the largest order whose block factorization fits a byte budget, and the
-checks of the (m, n, size) cells each truncated sum is defined on.
-``assoc`` and ``spectrum-pairs`` run on this module alone, and ``cli``
-takes table2's size limit and every cell check from it, so no refused cell
-loads numpy; ``operator``, ``products`` and ``spectra`` export its names as
-their own.
+the checks of the (m, n, size) cells each truncated sum is defined on, and
+the CLI's two size limits.  ``assoc`` and ``spectrum-pairs`` run on this
+module alone, and ``cli`` takes both limits and every cell check from it, so
+no refused cell loads numpy; ``operator``, ``products`` and ``spectra``
+export its names as their own.
 """
 
 from __future__ import annotations
@@ -23,9 +22,13 @@ from typing import NamedTuple
 # and four after it (measured for table2 with delete-tail 3: 5.6 at N = 2000
 # and 5.3 at N = 4000, above the interpreter's own ~30 MiB; 12 keeps a
 # margin).  Blocks derived from it add only spectra._ROWS x ceil(N/2) work
-# arrays.  largest_order turns a byte budget into the largest order this
-# count admits.
+# arrays.
 _BLOCK_ARRAYS = 12
+# Memory limit of one factorization, checked before anything is allocated:
+# order N factors W(ceil(N/2), floor(N/2)), so table2's max_size is twice the
+# largest ceil(N/2) whose _BLOCK_ARRAYS arrays of ceil(N/2)^2 float64 fit it.
+_MAX_DENSE_BYTES = 4 * 2**30
+_MAX_FACTORED_ORDER = 2 * math.isqrt(_MAX_DENSE_BYTES // (8 * _BLOCK_ARRAYS))
 
 
 def _check_index(value: int, name: str = "index", least: int = 1) -> int:
@@ -72,6 +75,12 @@ def _check_boundary(m: int, n: int, size: int) -> tuple[int, int, int]:
     return m, n, size
 
 
+# Largest pair label, and the largest size every command but table2 accepts:
+# up to it m^2 <= 2^52 is exact in float64, so every closed-form evaluation
+# of a_mn agrees bit for bit.
+_MAX_LABEL = 2**26
+
+
 def _closed_form(m, n):
     """a_mn = -4 m n / (pi (m^2 - n^2)) for labels of opposite parity.
 
@@ -110,9 +119,8 @@ def p3_naive_entry(m: int, n: int) -> float:
     of negating it.  The closed form is validated against quadrature_entry
     with derivative_order=3 in the test suite before anything relies on it.
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    return float(n * n) * momentum_entry(m, n)
+    entry = momentum_entry(m, n)
+    return float(int(n) ** 2) * entry
 
 
 def p3_hermitian_entry(m: int, n: int) -> float:
@@ -122,9 +130,8 @@ def p3_hermitian_entry(m: int, n: int) -> float:
     exact square, and is the limit the square-cutoff triple product is
     observed to converge to.
     """
-    m = _check_index(m, "m")
-    n = _check_index(n, "n")
-    return 0.5 * float(m * m + n * n) * momentum_entry(m, n)
+    entry = momentum_entry(m, n)
+    return 0.5 * float(int(m) ** 2 + int(n) ** 2) * entry
 
 
 def associativity_gap(m: int, n: int) -> tuple[float, float]:
@@ -137,7 +144,7 @@ def associativity_gap(m: int, n: int) -> tuple[float, float]:
     both sides vanish.
     """
     entry = momentum_entry(m, n)
-    return (float(n * n) * entry, float(m * m) * entry)
+    return (float(int(n) ** 2) * entry, float(int(m) ** 2) * entry)
 
 
 class PairingReport(NamedTuple):
@@ -182,13 +189,3 @@ def spectrum_pairing(size: int) -> PairingReport:
     """
     size = _check_index(size, "size")
     return PairingReport(size, size // 2, size % 2)
-
-
-def largest_order(budget: int) -> int:
-    """Largest order whose block factorization fits ``budget`` bytes.
-
-    Order N factors W(ceil(N/2), floor(N/2)) while ``_BLOCK_ARRAYS`` float64
-    arrays of ceil(N/2)^2 entries may live, so ceil(N/2) is at most
-    isqrt(budget / (8 _BLOCK_ARRAYS)) and N at most twice that.
-    """
-    return 2 * math.isqrt(budget // (8 * _BLOCK_ARRAYS))

@@ -418,30 +418,23 @@ class TestHelp:
 
 
 class TestDenseSizeGuard:
-    def test_estimate_is_that_of_the_largest_size(self):
-        # Orders 999 and 1000 both factor a 500 x 500 block: 96 * 500^2 bytes.
-        assert exact.largest_order(96 * 500**2) == 1000
-        assert exact.largest_order(96 * 500**2 - 1) == 998
-        assert exact.largest_order(96 * 1000**2) == 2000
-        assert exact.largest_order(96 * 1000**2 - 1) == 1998
-
     def test_limit_admits_sizes_up_to_13376(self):
-        assert exact.largest_order(cli._MAX_DENSE_BYTES) == 13376
-        assert cli.EXPERIMENTS["table2"].max_size == 13376
+        assert exact._MAX_FACTORED_ORDER == 13376
+        assert cli.EXPERIMENTS["table2"].max_size is exact._MAX_FACTORED_ORDER
         assert type(cli.EXPERIMENTS["table2"].max_size) is int
         # 12 float64 arrays of ceil(N/2)^2 entries: 96 bytes per entry.
-        assert 96 * 6688**2 <= cli._MAX_DENSE_BYTES < 96 * 6689**2
+        assert 96 * 6688**2 <= exact._MAX_DENSE_BYTES < 96 * 6689**2
 
     def test_linear_limit_admits_sizes_up_to_67108864(self):
-        assert cli._MAX_LABEL == 67108864
+        assert exact._MAX_LABEL == 67108864
         for name, experiment in cli.EXPERIMENTS.items():
             if name != "table2":
-                assert experiment.max_size == cli._MAX_LABEL
+                assert experiment.max_size == exact._MAX_LABEL
 
     def test_labels_up_to_the_linear_limit_evaluate_exactly(self):
         # Up to the limit m^2 is exact in float64, so the scalar and the array
         # evaluation of a_mn agree bit for bit.
-        label = cli._MAX_LABEL
+        label = exact._MAX_LABEL
         assert label * label < 2**53
         entry = operator.momentum_entry
         assert entry(label - 1, label) == -entry(label, label - 1)
@@ -481,8 +474,8 @@ class TestDenseSizeGuard:
         for command, pairs in linear:
             args = ["-m", "momtrunc.cli", command, "--pairs", pairs, "--sizes", str(size)]
             per_label = (peak(*args) - imported) / size
-            scaled = imported + per_label * cli._MAX_LABEL
-            assert scaled <= cli._MAX_DENSE_BYTES, (command, per_label)
+            scaled = imported + per_label * exact._MAX_LABEL
+            assert scaled <= exact._MAX_DENSE_BYTES, (command, per_label)
 
     @pytest.mark.parametrize(
         "command, pairs",

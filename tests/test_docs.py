@@ -44,6 +44,14 @@ def test_cli_block_runs_as_written(tmp_path):
         assert main([*args, "--out", str(tmp_path / f"{i}.out")]) == 0, line
 
 
+def test_benchmark_writer_compiles():
+    # The heredoc under README's "## Benchmark" heading, the only writer of
+    # BENCH_*.json; compiled, not run, since it runs the whole benchmark.
+    bench = README.read_text(encoding="utf-8").split("\n## Benchmark\n", 1)[1]
+    script = re.search(r"<<'EOF'\n(.*?)^EOF$", bench, re.DOTALL | re.MULTILINE).group(1)
+    compile(script, f"{README}:Benchmark", "exec")
+
+
 def _without_imports(path: Path) -> str:
     # The module's text with its import statements and __all__ blanked out:
     # naming a function there does not call it.

@@ -259,7 +259,6 @@ def test_package_exports_each_modules_public_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(momtrunc, name) is getattr(module, name)
-    assert "largest_order" not in names
 
 
 def test_package_names_are_unchanged():
@@ -326,6 +325,14 @@ def test_package_name_loads_only_its_own_module(name, absent):
 def test_check_index_accepts_integers(value):
     assert _check_index(value) == 1
     assert type(_check_index(value)) is int
+
+
+@pytest.mark.parametrize("label_type", [np.int64, np.uint64], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("m, n", [(1, 2**32), (2**32, 1)])
+def test_entries_of_numpy_labels_are_those_of_python_ints(label_type, m, n):
+    # Each entry squares its labels as Python ints: in int64, 2^32 squared wraps.
+    for entry in (products.associativity_gap, p3_naive_entry, p3_hermitian_entry):
+        assert entry(label_type(m), label_type(n)) == entry(m, n)
 
 
 @pytest.mark.parametrize(
