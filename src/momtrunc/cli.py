@@ -29,14 +29,11 @@ cells pass ``exact``'s checks: ``assoc`` and ``spectrum-pairs`` run on
 Both size limits are plain integers that ``exact`` states.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .exact import _MAX_FACTORED_ORDER, _MAX_LABEL, _check_boundary, _check_labels
@@ -52,7 +49,8 @@ class UsageError(ValueError):
 
 def _load_config_file(path: str) -> dict[str, Any]:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -10,8 +10,6 @@ no refused cell loads numpy; ``operator``, ``products`` and ``spectra``
 export its names as their own.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 from typing import NamedTuple

@@ -13,8 +13,6 @@ module builds their arrays.  The quadrature oracle integrates
 forms it validates.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

@@ -9,8 +9,6 @@ Sign bookkeeping: with P = i A the cube is P^3 = -i A^3, so the real number
 reported for a triple product is -(A^3)_mn, and the square is P^2 = -A A.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain
 

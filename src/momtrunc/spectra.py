@@ -23,8 +23,6 @@ at odd order are structural too, and W has full rank by Cauchy's
 determinant formula, so :func:`spectrum_pairing` computes nothing.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -57,7 +55,7 @@ class NearInteger(NamedTuple):
     error: float
 
 
-def _as_array(matrix: np.typing.ArrayLike) -> np.ndarray:
+def _as_array(matrix: "np.typing.ArrayLike") -> np.ndarray:
     arr = np.asarray(matrix).astype(float, casting="same_kind", copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
@@ -90,7 +88,7 @@ def _check_residual(residual: np.ndarray, norm: float) -> None:
         )
 
 
-def eigen_symmetric(matrix: np.typing.ArrayLike) -> SpectrumReport:
+def eigen_symmetric(matrix: "np.typing.ArrayLike") -> SpectrumReport:
     """All eigenvalues of a dense real symmetric matrix (any array-like), ascending.
 
     Backed by LAPACK's symmetric solver (numpy.linalg.eigh); the contract is

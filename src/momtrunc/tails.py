@@ -7,11 +7,7 @@ order log(size)/size^2.  That cancellation is what lets the square-cutoff
 triple product converge at all, and the functions here let it be measured.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _EXPORTS
 from .exact import _check_boundary, _check_index
@@ -74,10 +70,9 @@ def tail_approximation_parts(size: int, k_max: int) -> tuple[float, float]:
         raise ValueError(f"size must be even, got {size}")
     if k_max > size // 10:
         raise ValueError(f"k_max must be <= size // 10 = {size // 10}, got {k_max}")
-    k_col = np.arange(0.0, k_max)
-    column = -_fsum(1.0 / ((2.0 * k_col + 1.0) * (2.0 * size - 2.0 * k_col - 1.0)))
-    k_row = np.arange(1.0, k_max + 1.0)
-    row = _fsum(1.0 / ((2.0 * k_row - 1.0) * (2.0 * size - 2.0 * k_row - 1.0)))
+    j = _partners(2, 2 * k_max - 1)
+    column = -_fsum(1.0 / (j * (2.0 * size - j)))
+    row = _fsum(1.0 / (j * (2.0 * size - 2.0 - j)))
     return column, row
 
 
@@ -95,8 +90,8 @@ def telescoping_sum(k_max: int) -> float:
     which is what makes the scaled near-boundary combination vanish.
     """
     k_max = _check_index(k_max, "k_max", least=0)
-    k = np.arange(0.0, float(k_max) + 1.0)
-    return _fsum(1.0 / (4.0 * k**2 - 1.0))
+    j = _partners(2, 2 * k_max + 1)
+    return _fsum(1.0 / ((j - 2.0) * j))
 
 
 def telescoping_closed_form(k_max: int) -> float:
@@ -122,7 +117,8 @@ def tail_estimate(m: int, n: int, size: int) -> TailEstimate:
     (1/2 + telescoping_sum(k_max)) / size.  Both take the largest k_max
     :func:`tail_approximation` accepts, size // 10, which is reported.
     """
-    k_max = _check_index(size, "size") // 10
+    size = _check_index(size, "size")
+    k_max = size // 10
     return TailEstimate(
         k_max=k_max,
         exact=boundary_contribution(m, n, size),

@@ -9,8 +9,9 @@ Runs ``momtrunc.cli.main`` in this process, at one BLAS thread, on:
 - the seven commands at their defaults, in csv and json;
 - every invocation of ``perfbench/checks.py``'s ``products-scale`` and
   ``spectra-scale`` workloads at seeds 1 to 10, in csv and json;
-- a fixed list of refused requests: sizes and labels above each limit, and
-  cells, values and formats a check refuses.
+- a fixed list of refused requests: sizes and labels above each limit,
+  cells, values and formats a check refuses, and config files that cannot
+  be read.
 
 For each it writes ``<name>.argv``, ``<name>.stdout``, ``<name>.stderr`` and
 ``<name>.exit`` into OUT_DIR.  Run it once with ``PYTHONPATH`` naming one
@@ -52,6 +53,8 @@ REFUSALS = (
     "diverge --pairs 1,2",
     "table1 --format xml",
     "table2 --delete-tail x",
+    "table2 --config /nonexistent/momtrunc.json",
+    "table2 --config /",
 )
 
 

@@ -888,7 +888,7 @@ _LOADS = [
     (["p2check"], 0, _LINEAR),
     (["diverge"], 0, _LINEAR),
     (["tails"], 0, {"momtrunc.spectra", "momtrunc.products"}),
-    (["table2"], 0, {"momtrunc.products", "momtrunc.tails"}),
+    (["table2"], 0, {"momtrunc.products", "momtrunc.tails", "numpy.typing"}),
 ]
 
 
@@ -913,10 +913,10 @@ def test_each_command_loads_only_the_modules_it_runs(args, code, absent):
 def test_cli_adds_no_module_to_the_import_chain():
     # Each module imported at startup adds to every command's setup time.
     # After numpy and the standard modules the package imports, importing
-    # momtrunc.cli loads only the package and __future__.
+    # momtrunc.cli loads only the package.
     code = (
         "import sys\n"
-        "import numpy, argparse, json, pathlib, typing, math, itertools\n"
+        "import numpy, argparse, json, typing, math, itertools\n"
         "before = set(sys.modules)\n"
         "import momtrunc.cli\n"
         "for name in sorted(set(sys.modules) - before):\n"
@@ -929,6 +929,20 @@ def test_cli_adds_no_module_to_the_import_chain():
     )
     added = set(result.stdout.split())
     assert "momtrunc.cli" in added
-    assert {name for name in added if name.partition(".")[0] != "momtrunc"} <= {
-        "__future__"
-    }
+    assert {name for name in added if name.partition(".")[0] != "momtrunc"} == set()
+
+
+def test_cli_imports_no_pathlib_future_or_numpy_without_site():
+    # -S keeps site-packages' .pth files from loading modules before the package.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, momtrunc.cli; print(*sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "momtrunc.cli" in loaded
+    assert not loaded & {"pathlib", "__future__", "numpy"}

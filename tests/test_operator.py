@@ -336,6 +336,32 @@ def test_entries_of_numpy_labels_are_those_of_python_ints(label_type, m, n):
 
 
 @pytest.mark.parametrize(
+    "name, args",
+    [
+        ("tail_estimate", (1, 2, 40)),
+        ("boundary_contribution", (1, 2, 40)),
+        ("tail_approximation", (40, 4)),
+        ("tail_approximation_parts", (40, 4)),
+        ("telescoping_sum", (5,)),
+        ("telescoping_closed_form", (5,)),
+        ("triple_product_sum", (1, 2, 40)),
+        ("p2_partial_sum", (1, 1, 40)),
+        ("pp2p_partial_sum", (1, 1, 40)),
+        ("quad_power_entry", (1, 1, 40)),
+        ("near_integer_check", (10,)),
+        ("spectrum_pairing", (9,)),
+        ("momentum_entry", (1, 2)),
+        ("quadrature_entry", (1, 2, 1)),
+        ("p2_exact_entry", (2, 2)),
+    ],
+)
+def test_results_of_numpy_integers_are_those_of_python_ints(name, args):
+    # Arithmetic on an unconverted numpy integer shows in the repr: np.float64(...).
+    function = getattr(momtrunc, name)
+    assert repr(function(*map(np.int64, args))) == repr(function(*args))
+
+
+@pytest.mark.parametrize(
     "value",
     [True, np.bool_(True), 1.0, np.float64(1), "1", None, Fraction(1)],
     ids=repr,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momtrunc.tails import (
@@ -142,3 +142,42 @@ class TestTailEstimate:
     def test_rejects_a_size_that_is_not_an_integer(self, size):
         with pytest.raises(ValueError, match="size must be an integer"):
             tail_estimate(1, 2, size)
+
+
+def _k_grid_parts(size, k_max):
+    # tail_approximation_parts as it summed over k before it took partner labels
+    k_col = np.arange(0.0, k_max)
+    column = -math.fsum(
+        memoryview(1.0 / ((2.0 * k_col + 1.0) * (2.0 * size - 2.0 * k_col - 1.0)))
+    )
+    k_row = np.arange(1.0, k_max + 1.0)
+    row = math.fsum(
+        memoryview(1.0 / ((2.0 * k_row - 1.0) * (2.0 * size - 2.0 * k_row - 1.0)))
+    )
+    return column, row
+
+
+def _k_grid_telescoping(k_max):
+    k = np.arange(0.0, float(k_max) + 1.0)
+    return math.fsum(memoryview(1.0 / (4.0 * k**2 - 1.0)))
+
+
+class TestOddLabelsKeepTheKGridBits:
+    @given(
+        st.integers(5, 2**25).flatmap(
+            lambda half: st.tuples(
+                st.just(2 * half), st.integers(1, min(2 * half // 10, 10**5))
+            )
+        )
+    )
+    @example((2**26, 2**26 // 10))
+    @settings(deadline=None)
+    def test_tail_approximation_parts(self, size_and_k_max):
+        got = tail_approximation_parts(*size_and_k_max)
+        expected = _k_grid_parts(*size_and_k_max)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @given(st.integers(0, 10**6))
+    @settings(deadline=None)
+    def test_telescoping_sum(self, k_max):
+        assert telescoping_sum(k_max).hex() == _k_grid_telescoping(k_max).hex()
