@@ -10,7 +10,6 @@ reported for a triple product is -(A^3)_mn, and the square is P^2 = -A A.
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -22,27 +21,23 @@ from .operator import _fsum, _partners
 __all__ = _EXPORTS["products"]
 
 
-# Chunk length of the prefix sums behind a square column: each chunk is a
-# plain running sum on top of an exactly rounded offset.
-_PREFIX_CHUNK = 1024
-
-
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     """Running sums ``out[k] = terms[0] + ... + terms[k - 1]``, ``out[0] = 0``.
 
-    Inside a chunk the sums are a plain ``np.cumsum``; each chunk starts from
-    the exactly rounded sum of every earlier term, carried as a (hi, lo)
-    pair refreshed by ``math.fsum`` over the chunk's memoryview (no list is
-    built), so rounding error does not build up across chunks.
+    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005) at every
+    prefix: ``np.cumsum`` adds in order, Knuth's TwoSum recovers each step's
+    rounding error, and the running sum of the errors is added back.
+    ``out[k]`` is within u |S_k| + gamma_{k-1}^2 sum_{j<k} |terms[j]| of the
+    exact S_k (u = 2^-53, gamma_k = k u / (1 - k u)), so it is faithfully
+    rounded for positive terms, as D's, while k <= 2^26.  Overwrites ``terms``.
     """
     out = np.zeros(terms.size + 1)
-    hi = lo = 0.0
-    for start in range(0, terms.size, _PREFIX_CHUNK):
-        chunk = terms[start : start + _PREFIX_CHUNK]
-        out[start + 1 : start + 1 + chunk.size] = hi + np.cumsum(chunk)
-        total = math.fsum(chain((hi, lo), memoryview(chunk)))
-        lo = math.fsum(chain((hi, lo, -total), memoryview(chunk)))
-        hi = total
+    a, s = out[:-1], np.cumsum(terms, out=out[1:])  # sums before, after each step
+    b = s - a  # TwoSum: the step's error is (a - (s - b)) + (terms - b)
+    terms -= b
+    np.subtract(a, np.subtract(s, b, out=b), out=b)
+    b += terms
+    s += np.cumsum(b, out=b)
     return out
 
 
@@ -97,12 +92,12 @@ def triple_product_sum(m: int, n: int, size: int) -> float:
 
     with column n of the truncated square B taken in closed form (see
     :func:`_square_columns`), in O(size) time and memory, so sizes up to
-    about 10^7 are practical.  Each s-sum is a prefix sum of reciprocals of
-    odd integers taken outward from the cutoff, with exactly rounded chunk
-    offsets; the r-sum is one exactly rounded ``math.fsum``.  Rounding
+    about 10^7 are practical.  Each s-sum is a compensated prefix sum of
+    reciprocals of odd integers taken outward from the cutoff, faithfully
+    rounded; the r-sum is one exactly rounded ``math.fsum``.  Rounding
     leaves a few eps times sum_r |a_mr B_rn|, large beside T only where the
     r-sum cancels: at (m, n, N) = (252, 183, 253) that is 1.35e6 |T|, and
-    T = -0.326 is 2.5e-10 off, its 6 printed digits intact.  For m + n even
+    T = -0.326 is 2.5e-11 off, its 6 printed digits intact.  For m + n even
     every product pairs labels of opposite parity and the result is -0.0.
 
     For m + n odd the error alternates in sign with the size N:

@@ -19,12 +19,26 @@ tree's ``src/`` and once naming another's, into two directories: an empty
 ``diff -r`` of the two means the CLI's bytes and exit codes are unchanged.
 It needs only the standard library and ``momtrunc``, and reads, but never
 edits, ``perfbench/``.
+
+Where full-precision JSON may move within a stated tolerance, compare two
+such directories with::
+
+    python3 tests/report_corpus.py --compare OLD_DIR NEW_DIR
+
+Every file must be byte-identical except the JSON reports
+(``*-json.stdout``).  In those, every key, the columns, the row count and
+every cell that is not a float must match.  For the float cells it prints
+one line per (experiment, column) that moved: the number of cells moved
+and the worst relative move, |new - old| / |old|.  It exits 1, after
+naming each, on any other difference, and needs only the standard library.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import os
 import shlex
 import sys
@@ -36,9 +50,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-
-import checks
-from momtrunc import cli
+# checks and momtrunc load where the corpus is written: --compare needs neither.
 
 FORMATS = ("csv", "json")
 SEEDS = range(1, 11)
@@ -60,6 +72,9 @@ REFUSALS = (
 
 def corpus() -> list[tuple[str, list[str]]]:
     """(name, argv) of every run, in the order they run."""
+    import checks
+    from momtrunc import cli
+
     runs = [
         (f"defaults-{command}-{fmt}", [command, "--format", fmt])
         for command in cli.EXPERIMENTS
@@ -79,6 +94,8 @@ def corpus() -> list[tuple[str, list[str]]]:
 
 def run(argv: list[str]) -> tuple[str, str, int]:
     """stdout, stderr and exit code of one ``main(argv)``."""
+    from momtrunc import cli
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -89,6 +106,8 @@ def run(argv: list[str]) -> tuple[str, str, int]:
 
 
 def main(out_dir: str) -> int:
+    from momtrunc import cli
+
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
     codes: Counter[int] = Counter()
@@ -107,7 +126,65 @@ def main(out_dir: str) -> int:
     return 0
 
 
+def relative_move(old: float, new: float) -> float:
+    """|new - old| / |old|; 0 for equal values, inf from 0 or a non-finite value."""
+    if old == new:
+        return 0.0
+    if old and math.isfinite(old) and math.isfinite(new):
+        return abs(new - old) / abs(old)
+    return math.inf
+
+
+def float_moves(old: dict, new: dict, moves: dict[tuple[str, str], list[float]]) -> str:
+    """Add each moved float cell of two JSON reports to ``moves``, keyed by
+    (experiment, column); return what else differs, or "" if nothing does."""
+    if {**old, "rows": None} != {**new, "rows": None}:
+        return "keys, config or columns differ"
+    if len(old["rows"]) != len(new["rows"]):
+        return "row counts differ"
+    for old_row, new_row in zip(old["rows"], new["rows"]):
+        for column, x, y in zip(old["columns"], old_row, new_row, strict=True):
+            if type(x) is not float or type(y) is not float:
+                if type(x) is not type(y) or x != y:
+                    return f"a cell of column {column} that is not a float differs"
+            elif repr(x) != repr(y):
+                moves.setdefault((old["experiment"], column), []).append(relative_move(x, y))
+    return ""
+
+
+def compare(old_dir: str, new_dir: str) -> int:
+    """Print how two corpora differ: 0 if at most JSON floats moved, else 1."""
+    old, new = Path(old_dir), Path(new_dir)
+    names = sorted({path.name for path in [*old.iterdir(), *new.iterdir()]})
+    moves: dict[tuple[str, str], list[float]] = {}
+    faults, moved = [], 0
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            faults.append(f"{name}: in one directory only")
+        elif a.read_bytes() == b.read_bytes():
+            continue
+        elif not name.endswith("-json.stdout"):
+            faults.append(f"{name}: bytes differ")
+        else:
+            moved += 1
+            try:
+                fault = float_moves(json.loads(a.read_bytes()), json.loads(b.read_bytes()), moves)
+            except (ValueError, KeyError, TypeError) as exc:
+                fault = f"not a comparable report ({exc!r})"
+            if fault:
+                faults.append(f"{name}: {fault}")
+    for (experiment, column), rel in sorted(moves.items()):
+        print(f"{experiment} {column}: {len(rel)} cells moved, worst relative move {max(rel):.3g}")
+    for fault in faults:
+        print(f"DIFFERS {fault}")
+    print(f"{len(names)} files: {moved} JSON reports moved, {len(faults)} other differences")
+    return 1 if faults else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT_DIR")
+        sys.exit(f"usage: {sys.argv[0]} OUT_DIR | --compare OLD_DIR NEW_DIR")
     sys.exit(main(sys.argv[1]))

@@ -916,7 +916,7 @@ def test_cli_adds_no_module_to_the_import_chain():
     # momtrunc.cli loads only the package.
     code = (
         "import sys\n"
-        "import numpy, argparse, json, typing, math, itertools\n"
+        "import numpy, argparse, json, typing, math\n"
         "before = set(sys.modules)\n"
         "import momtrunc.cli\n"
         "for name in sorted(set(sys.modules) - before):\n"

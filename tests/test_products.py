@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from momtrunc.products import (
 from momtrunc.spectra import squared_momentum
 from momtrunc.tails import boundary_contribution
 from oracles import dense_fourth_power_entry, dense_triple_product, plain_triple_product
+
+U = Fraction(1, 2**53)  # the unit roundoff
 
 
 def brute_triple(m: int, n: int, size: int) -> float:
@@ -60,6 +64,32 @@ class TestTripleProduct:
             assert triple_product_sum(m, n, size) == pytest.approx(
                 -triple_product_sum(n, m, size), rel=1e-12
             )
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 10**5).flatmap(
+            lambda size: st.tuples(
+                st.integers(1, min(size, 300)), st.integers(1, min(size, 300)), st.just(size)
+            )
+        )
+    )
+    @example((183, 252, 253))
+    @example((1, 2, 10**6))
+    @example((20, 31, 10**6))
+    def test_swapped_labels_cancel_to_rounding(self, case):
+        # The truncated A is antisymmetric, so T(m, n) = -T(n, m) exactly, but
+        # the two come from different columns, often of different parity: a
+        # witness that needs no oracle, at sizes beyond the dense ones.  Its
+        # bound is 8u times the rounding scales S_mn = sum_r |a_mr B_rn|.
+        m, n, size = case
+        assume((m + n) % 2 == 1)
+
+        def scale(m, n):
+            row = operator._closed_form(m, operator._partners(m, size))
+            return operator._fsum(np.abs(row * products._square_columns(size, n)[0]))
+
+        witness = triple_product_sum(m, n, size) + triple_product_sum(n, m, size)
+        assert abs(witness) <= 8 * U * (scale(m, n) + scale(n, m))
 
     def test_compensated_vs_naive(self):
         comp = triple_product_sum(1, 2, 2000)
@@ -253,15 +283,26 @@ labels_and_size = st.integers(1, 300).flatmap(
 )
 
 
-def one_square_column(n: int, size: int) -> np.ndarray:
-    """products' square column as it was built one label at a time, each
-    with its own prefix array: the reference the shared prefix must match."""
-    s_top = size if (size + n) % 2 == 1 else size - 1
+def d_terms(size: int, parity: int) -> np.ndarray:
+    """The terms of D, as products._square_columns builds them for labels of
+    this parity: reciprocals of odd integers taken outward from the cutoff."""
+    s_top = size if (size + parity) % 2 == 1 else size - 1
     steps = np.arange(1.0, size + 1.0)
     below = slice((s_top + 1) % 2, None, 2)
     steps[below] = s_top + 1.0 - steps[below]
     steps[s_top % 2 :: 2] += s_top
-    d = products._prefix_sums(np.reciprocal(steps, out=steps))
+    return np.reciprocal(steps, out=steps)
+
+
+def exact_prefixes(terms: np.ndarray) -> list[Fraction]:
+    """Every prefix sum of the float terms, in exact rational arithmetic."""
+    return list(accumulate(map(Fraction, terms.tolist()), initial=Fraction(0)))
+
+
+def one_square_column(n: int, size: int) -> np.ndarray:
+    """products' square column as it was built one label at a time, each
+    with its own prefix array: the reference the shared prefix must match."""
+    d = products._prefix_sums(d_terms(size, n % 2))
     r = np.arange(2 - n % 2, size + 1, 2.0)
     with np.errstate(invalid="ignore"):
         column = (
@@ -374,34 +415,37 @@ class TestClosedFormAgainstDense:
         k[::2] = size - k[::2]
         k[1::2] += size - 1
         terms = 1.0 / k
-        prefix = products._prefix_sums(terms)
+        prefix = products._prefix_sums(terms.copy())
         for end in np.linspace(1, size, 40).astype(int):
             exact = math.fsum(terms[:end].tolist())
-            assert abs(prefix[end] - exact) <= 1e-15 * exact
+            assert abs(prefix[end] - exact) <= 2**-52 * exact
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(deadline=None)
+    @given(st.integers(1, 3000))
+    @example(1)
+    @example(2)
+    @example(1000)
+    @example(1001)
+    def test_prefix_sums_of_d_are_within_two_units_of_exact(self, parity, size):
+        # Every D(x) is within 2u of the exact sum of its rounded terms.
+        terms = d_terms(size, parity)
+        exact = exact_prefixes(terms)
+        got = products._prefix_sums(terms)
+        assert all(abs(Fraction(x) - s) <= 2 * U * s for x, s in zip(got.tolist(), exact))
 
     @settings(deadline=None)
-    @given(
-        st.sampled_from([0, 1, 1023, 1024, 1025]) | st.integers(0, 3 * 1024),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 300),
-    )
-    def test_prefix_sums_keep_the_bits_of_the_list_formula(self, size, seed, spread):
-        # The reference refreshes the (hi, lo) offsets by math.fsum over
-        # lists of floats; any iterable of the same values rounds to the same
-        # exact sums, so every prefix must keep its bits.  Terms of mixed
-        # sign, spread decades either side of 1 (up to 1e-300 to 1e300), at
-        # sizes around the chunk boundary and up to three chunks.
+    @given(st.integers(0, 2000), st.integers(0, 2**32 - 1))
+    def test_prefix_sums_keep_the_sum2_bound(self, size, seed):
+        # Terms of mixed sign spread over 20 decades either side of 1: every
+        # prefix is within u |S_k| + gamma_k^2 sum_{j<=k} |t_j| of the exact
+        # S_k, gamma_k = k u / (1 - k u) (Ogita, Rump and Oishi 2005,
+        # Proposition 4.5).
         rng = np.random.default_rng(seed)
-        decades = rng.integers(-spread, spread + 1, size)
-        terms = rng.standard_normal(size) * 10.0**decades
-        chunk_size = products._PREFIX_CHUNK
-        expected = np.zeros(size + 1)
-        hi = lo = 0.0
-        for start in range(0, size, chunk_size):
-            chunk = terms[start : start + chunk_size]
-            expected[start + 1 : start + 1 + chunk.size] = hi + np.cumsum(chunk)
-            parts = [hi, lo, *chunk.tolist()]
-            hi = math.fsum(parts)
-            lo = math.fsum([*parts, -hi])
+        terms = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 21, size)
+        exact = exact_prefixes(terms)
+        magnitudes = exact_prefixes(np.abs(terms))
         got = products._prefix_sums(terms)
-        assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected.tolist()]
+        for k, (x, s, a) in enumerate(zip(got.tolist(), exact, magnitudes)):
+            gamma = k * U / (1 - k * U)
+            assert abs(Fraction(x) - s) <= U * abs(s) + gamma**2 * a, k
